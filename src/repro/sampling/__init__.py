@@ -1,5 +1,5 @@
 """Sampling why-not provenance without materializing it (Sec. 5)."""
-from repro.sampling.ops import sample_with_replacement, with_row_ids  # noqa: F401
+from repro.sampling.ops import canonical_sort, sample_with_replacement  # noqa: F401
 from repro.sampling.oversample import (  # noqa: F401
     binom_sf,
     comparison_selectivity,

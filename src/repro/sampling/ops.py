@@ -1,46 +1,42 @@
-"""Relational sampling operators (Sec. 5.2): SAMPLE_n and #_A.
+"""The sampling operator SAMPLE_n of Sec. 5.2, drawn on the driver.
 
 The paper extends relational algebra with ``SAMPLE_n`` (uniform with
-replacement) and ``#_A`` (row-id assignment, SQL ROW_NUMBER()). We
-express both as Catalyst plans:
-
-* ``with_row_ids`` — ROW_NUMBER() over a global window (domains are
-  small relative to the data, so a single-partition window is fine).
-* ``sample_with_replacement`` — a ``spark.range(n)`` of picks carrying
-  ``floor(rand(seed)·d)`` indices, joined against the row-numbered
-  input: exact uniform sampling with replacement, no driver round-trip.
+replacement) and ``#_A`` (row ids, to zip per-variable samples into
+bindings) because its sample lives in the DBMS. Ours is collected to
+the driver anyway, and the inputs of ``SAMPLE_n`` are variable domains,
+which are small distinct value sets. So each domain is collected once,
+sorted canonically, and sampled here with a seeded
+``numpy.random.Generator``: pick i of every variable is the i-th draw,
+so zipping the per-variable picks by position is Q_bind, with no row-id
+operator and no dependence on how Spark partitions the data.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+from collections.abc import Iterable, Sequence
+
+import numpy as np
 
 
-def with_row_ids(df: DataFrame, id_col: str = "id") -> DataFrame:
-    """Append a dense 1-based row id column (the paper's #_A operator)."""
-    w = Window.orderBy(F.monotonically_increasing_id())
-    return df.withColumn(id_col, F.row_number().over(w))
+def _key(row: Sequence) -> tuple:
+    return tuple((v is None, v) for v in row)
+
+
+def canonical_sort(rows: Iterable[Sequence]) -> list[tuple]:
+    """Rows as tuples, sorted column by column with None last: an order
+    that depends only on the values, not on how Spark partitioned them."""
+    return sorted(map(tuple, rows), key=_key)
 
 
 def sample_with_replacement(
-    df: DataFrame, n: int, seed: int, id_col: str = "id"
-) -> DataFrame:
-    """SAMPLE_n ∘ #_id: ``n`` uniform-with-replacement picks from ``df``.
+    values: Sequence, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """SAMPLE_n: ``n`` uniform-with-replacement picks from ``values``.
 
-    Output: the columns of ``df`` plus ``id_col`` numbering the picks
-    1…n, so per-variable samples can be zipped by a natural join on the
-    pick id (Q_bind of Sec. 5.2). Raises on an empty input — an empty
-    variable domain means the rule has no derivations at all.
+    Returns an object array whose i-th entry is the i-th pick. Raises on
+    an empty domain (nothing to sample) and on ``n ≤ 0``.
     """
     if n <= 0:
         raise ValueError(f"sample size must be positive, got {n}")
-    d = df.count()
-    if d == 0:
+    if len(values) == 0:
         raise ValueError("cannot sample from an empty domain")
-    spark = df.sparkSession
-    picks = spark.range(1, n + 1).select(
-        F.col("id").alias(id_col),
-        (F.floor(F.rand(seed) * d) + 1).cast("int").alias("__pick"),
-    )
-    dom = with_row_ids(df, "__pick")
-    return picks.join(dom, on="__pick").drop("__pick")
+    return np.asarray(values, dtype=object)[rng.integers(0, len(values), size=n)]

@@ -86,14 +86,17 @@ def _capture(
     use_full: bool,
     max_n_os: int,
     max_full_derivations: int | None,
-) -> list[tuple[UnifiedRule, DataFrame, float]]:
-    """Phase 1: per rule, (unified rule, sample DataFrame, raw weight).
+) -> list[tuple[UnifiedRule, DataFrame, float, dict]]:
+    """Phase 1: per rule, (unified rule, sample DataFrame, raw weight,
+    shortfall stats).
 
     Raw weights are each rule's (estimated) share of |PROV(Φ)| before
     normalization: exact derivation counts for why / FULL why-not,
-    estimated why-not sizes for sampled why-not.
+    estimated why-not sizes for sampled why-not. The stats are
+    ``n_survivors`` (distinct derivations available before the n_S cut)
+    and ``capped`` (the why-not over-sample hit ``max_n_os``).
     """
-    out: list[tuple[UnifiedRule, DataFrame, float]] = []
+    out: list[tuple[UnifiedRule, DataFrame, float, dict]] = []
     if question.qtype == WHY:
         for u, df in why_provenance(catalog, program, question.ptuple):
             df = df.persist()
@@ -104,7 +107,9 @@ def _capture(
             sample = (
                 df.orderBy(F.rand(seed + 11)).limit(n_s) if full > n_s else df
             )
-            out.append((u, sample, float(full)))
+            out.append(
+                (u, sample, float(full), {"n_survivors": full, "capped": False})
+            )
         return out
     if use_full:
         for u, df in whynot_full(
@@ -115,7 +120,9 @@ def _capture(
             if full == 0:
                 df.unpersist()
                 continue
-            out.append((u, df, float(full)))
+            out.append(
+                (u, df, float(full), {"n_survivors": full, "capped": False})
+            )
         return out
     for rs in sample_whynot(
         catalog,
@@ -127,7 +134,14 @@ def _capture(
         domains=domains,
         max_n_os=max_n_os,
     ):
-        out.append((rs.unified, rs.sample, float(rs.est_whynot_size)))
+        out.append(
+            (
+                rs.unified,
+                rs.sample,
+                float(rs.est_whynot_size),
+                {"n_survivors": rs.n_survivors, "capped": rs.capped},
+            )
+        )
     return out
 
 
@@ -166,7 +180,7 @@ def pattern_inputs(
         use_full, max_n_os, max_full_derivations,
     )
     per_rule_data = []
-    for u, sample_df, raw_weight in captured:
+    for u, sample_df, raw_weight, shortfall in captured:
         var_cols = [v.name for v in u.unbound]
         goal_cols = goal_column_names(u.n_goals)
         sample_df = sample_df.persist()
@@ -182,6 +196,7 @@ def pattern_inputs(
                 "goal_cols": goal_cols,
                 "n_rows": n_rows,
                 "raw_weight": raw_weight,
+                "shortfall": shortfall,
             }
         )
     timings["sample"] = time.perf_counter() - t0
@@ -233,6 +248,7 @@ def pattern_inputs(
             "n_sample": d["n_rows"],
             "n_candidates": d["n_candidates"],
             "weight": d["weight"],
+            **d["shortfall"],
         }
         for d in per_rule_data
     ]

@@ -1,13 +1,15 @@
 """Tests for the batch why-not sampling pipeline (Sec. 5)."""
+import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.unify import parse_ptuple, unify_rule
+from repro.core.unify import WHYNOT, PQuestion, parse_ptuple, unify_rule
 from repro.datasets.airbnb import airbnb_program, s_airbnb
 from repro.datasets.graph_r import graph_r, rex_program
 from repro.engine.catalog import Catalog
-from repro.sampling.ops import sample_with_replacement, with_row_ids
+from repro.sampling.ops import canonical_sort, sample_with_replacement
 from repro.sampling.whynot import sample_whynot, sample_whynot_rule
+from repro.summarize.pipeline import summarize
 
 
 @pytest.fixture(scope="module")
@@ -24,42 +26,38 @@ def airbnb(spark):
 
 
 class TestOps:
-    def test_with_row_ids_dense(self, spark):
-        df = spark.createDataFrame(pd.DataFrame({"v": list("abcde")}))
-        ids = sorted(r["id"] for r in with_row_ids(df).collect())
-        assert ids == [1, 2, 3, 4, 5]
+    def test_sample_size(self):
+        out = sample_with_replacement([1, 2, 3], 50, np.random.default_rng(3))
+        assert len(out) == 50
 
-    def test_sample_size(self, spark):
-        df = spark.createDataFrame(pd.DataFrame({"v": [1, 2, 3]}))
-        out = sample_with_replacement(df, 50, seed=3)
-        assert out.count() == 50
-        assert set(out.columns) == {"v", "id"}
+    def test_sample_ids_are_picks(self):
+        # pick i is the i-th draw of the generator, so per-variable picks
+        # zip into bindings by position
+        vals = [10, 20, 30]
+        out = sample_with_replacement(vals, 20, np.random.default_rng(3))
+        idx = np.random.default_rng(3).integers(0, 3, size=20)
+        assert list(out) == [vals[i] for i in idx]
 
-    def test_sample_ids_are_picks(self, spark):
-        df = spark.createDataFrame(pd.DataFrame({"v": [1, 2, 3]}))
-        out = sample_with_replacement(df, 20, seed=3)
-        assert sorted(r["id"] for r in out.collect()) == list(range(1, 21))
+    def test_sample_values_from_domain(self):
+        out = sample_with_replacement([10, 20], 30, np.random.default_rng(1))
+        assert set(out) <= {10, 20}
 
-    def test_sample_values_from_domain(self, spark):
-        df = spark.createDataFrame(pd.DataFrame({"v": [10, 20]}))
-        vals = {r["v"] for r in sample_with_replacement(df, 30, seed=1).collect()}
-        assert vals <= {10, 20}
-
-    def test_sample_with_replacement_covers(self, spark):
+    def test_sample_with_replacement_covers(self):
         # 200 picks from a 3-value domain hit every value w.h.p.
-        df = spark.createDataFrame(pd.DataFrame({"v": [1, 2, 3]}))
-        vals = {r["v"] for r in sample_with_replacement(df, 200, seed=5).collect()}
-        assert vals == {1, 2, 3}
+        out = sample_with_replacement([1, 2, 3], 200, np.random.default_rng(5))
+        assert set(out) == {1, 2, 3}
 
-    def test_empty_domain_raises(self, spark):
-        df = spark.createDataFrame(pd.DataFrame({"v": [1]})).filter("v > 5")
+    def test_empty_domain_raises(self):
         with pytest.raises(ValueError, match="empty"):
-            sample_with_replacement(df, 5, seed=0)
+            sample_with_replacement([], 5, np.random.default_rng(0))
 
-    def test_nonpositive_n_raises(self, spark):
-        df = spark.createDataFrame(pd.DataFrame({"v": [1]}))
+    def test_nonpositive_n_raises(self):
         with pytest.raises(ValueError):
-            sample_with_replacement(df, 0, seed=0)
+            sample_with_replacement([1], 0, np.random.default_rng(0))
+
+    def test_canonical_sort_puts_none_last(self):
+        rows = [("b", 2), (None, 1), ("a", None), ("a", 1)]
+        assert canonical_sort(rows) == [("a", 1), ("a", None), ("b", 2), (None, 1)]
 
 
 class TestSampleWhynot:
@@ -168,3 +166,85 @@ class TestSampleWhynot:
             for r in rs.sample.collect():
                 counts[(r["X"], r["Z"])] = counts.get((r["X"], r["Z"]), 0) + 1
         assert len(counts) >= 9  # most derivations were seen at least once
+
+    def test_empty_theta_x_domain_gives_empty_sample(self, rex, spark):
+        # the rule requires X < 4: a domain of X values ≥ 4 leaves no
+        # derivation, hence no why-not provenance
+        catalog, prog, domains = rex
+        high = spark.createDataFrame(pd.DataFrame({"v": [4, 5, 6]}))
+        u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
+        rs = sample_whynot_rule(
+            catalog, prog, u, n_s=10, seed=0, domains={**domains, "X": high}
+        )
+        assert rs.n_os == 0 and rs.n_survivors == 0
+        assert rs.sample.count() == 0
+        assert rs.sample.columns == ["X", "Z", "g1", "g2"]
+        s = summarize(
+            catalog, prog, PQuestion(parse_ptuple("Qex(X, 4)"), WHYNOT),
+            k=3, n_s=10, domains={**domains, "X": high},
+        )
+        assert s.patterns == () and s.per_rule == []
+
+    def test_cap_reports_shortfall(self, rex):
+        catalog, prog, domains = rex
+        u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
+        rs = sample_whynot_rule(
+            catalog, prog, u, n_s=10, seed=0, domains=domains, max_n_os=5
+        )
+        assert rs.n_os == 5 and rs.capped
+        assert 0 < rs.n_survivors < 10
+        assert rs.sample.count() == rs.n_survivors
+        s = summarize(
+            catalog, prog, PQuestion(parse_ptuple("Qex(X, 4)"), WHYNOT),
+            k=1, n_s=10, domains=domains, max_n_os=5,
+        )
+        (stats,) = s.per_rule
+        assert stats["capped"] and stats["n_survivors"] == stats["n_sample"] < 10
+
+    def test_uncapped_reports_survivors(self, rex):
+        catalog, prog, domains = rex
+        u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
+        rs = sample_whynot_rule(
+            catalog, prog, u, n_s=5, seed=0, domains=domains
+        )
+        assert not rs.capped
+        assert rs.sample.count() == 5 < rs.n_survivors <= 12
+
+
+class TestPartitioningInvariance:
+    """A sampled summary is a function of (data, question, seed, k, n_S):
+    neither the shuffle partition count nor the partitioning of the
+    input tables may change it."""
+
+    T = "AL(N, shared)"
+
+    @staticmethod
+    def _run(spark, tables, prog):
+        catalog = Catalog(spark, tables)
+        t = parse_ptuple(TestPartitioningInvariance.T)
+        rows = sorted(
+            tuple(r) for r in sample_whynot(catalog, prog, t, n_s=30, seed=5)[0]
+            .sample.collect()
+        )
+        s = summarize(
+            catalog, prog, PQuestion(t, WHYNOT), k=3, n_s=30, seed=5
+        )
+        return rows, sorted(p.pretty() for p in s.patterns), round(s.score, 12)
+
+    def test_same_sample_and_summary_under_any_partitioning(self, spark):
+        prog = airbnb_program()
+        tables = s_airbnb(spark)
+        old = spark.conf.get("spark.sql.shuffle.partitions")
+        try:
+            results = []
+            for parts in ("4", "16", "64"):
+                spark.conf.set("spark.sql.shuffle.partitions", parts)
+                results.append(self._run(spark, tables, prog))
+        finally:
+            spark.conf.set("spark.sql.shuffle.partitions", old)
+        for n in (1, 7):
+            repart = {k: df.repartition(n) for k, df in tables.items()}
+            results.append(self._run(spark, repart, prog))
+        rows, patterns, score = results[0]
+        assert 0 < len(rows) <= 30 and patterns
+        assert results[1:] == [results[0]] * 4
