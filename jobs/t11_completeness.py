@@ -18,12 +18,15 @@ def main() -> None:
     ap.add_argument("--queries", default="r1,r2,r3,r5,r6")
     ap.add_argument("--size", type=int, default=5000)
     ap.add_argument("--ks", default="1,3,5,10")
+    ap.add_argument("--n-s", type=int, default=500)
     args = ap.parse_args()
     spark = get_spark("t11_completeness")
     queries = args.queries.split(",")
     ks = [int(x) for x in args.ks.split(",")]
     for qtype in (WHY, WHYNOT):
-        rows = run_completeness(spark, queries, qtype, args.size, ks)
+        rows = run_completeness(
+            spark, queries, qtype, args.size, ks, n_s=args.n_s
+        )
         print(f"\n== T11 completeness ({qtype}) ==")
         print(format_rows(rows))
     spark.stop()

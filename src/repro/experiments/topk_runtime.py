@@ -48,9 +48,9 @@ def run_topk_runtime(
                 "n_patterns": len(inputs.patterns),
                 "k": k,
                 "t_topk": elapsed,
-                "score_lb": result.score_lb,
-                "score_ub": result.score_ub,
+                "score": inputs.store.score_of_set(result.patterns),
                 "proved_optimal": result.proved_optimal,
+                "pops": result.pops,
             }
         )
     return rows

@@ -1,41 +1,55 @@
 """Completeness estimation by match counting (Sec. 7, Q_match).
 
-Each LCA candidate is joined with the sample on equal goal annotations
-and, per variable position, ``pattern IS NULL OR pattern = sample``; a
-group-count per pattern yields |matches in S|, whose fraction of |S| is
-an unbiased estimate of the pattern's completeness (Def. 7) as long as
-the sample is unbiased (Theorem 1).
+A pattern matches a sample derivation when their goal annotations are
+equal and, per variable position, the pattern has a placeholder or the
+derivation's value; |matches in S| / |S| is an unbiased estimate of the
+pattern's completeness (Def. 7) as long as the sample is unbiased
+(Theorem 1).
+
+The paper runs Q_match as a SQL join + group-count over the sample in
+the DBMS. Ours is integer-coded on the driver, so the counts come from
+chunked numpy comparisons: only the counts are kept, never a
+patterns × rows matrix.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.patterns.pattern import Pattern
 
+if TYPE_CHECKING:
+    from repro.summarize.metrics import _RuleRows
 
-def match_counts(
-    patterns: DataFrame,
-    sample: DataFrame,
-    var_cols: list[str],
-    goal_cols: list[str],
-) -> DataFrame:
-    """Q_match: pattern columns + ``match_count`` over the sample."""
-    renamed = patterns.select(
-        *[F.col(v).alias(f"__p_{v}") for v in var_cols],
-        *[F.col(g).alias(f"__p_{g}") for g in goal_cols],
-    )
-    cond = F.lit(True)
-    for g in goal_cols:
-        cond = cond & (F.col(f"__p_{g}") == F.col(g))
-    for v in var_cols:
-        cond = cond & (F.col(f"__p_{v}").isNull() | (F.col(f"__p_{v}") == F.col(v)))
-    joined = renamed.join(sample, on=cond, how="inner")
-    grouped = joined.groupBy(
-        *[F.col(f"__p_{v}").alias(v) for v in var_cols],
-        *[F.col(f"__p_{g}").alias(g) for g in goal_cols],
-    ).agg(F.count(F.lit(1)).alias("match_count"))
-    return grouped
+#: Pattern × row cells compared per chunk; bounds the chunk's working arrays.
+CHUNK_CELLS = 1 << 17
+
+
+def count_matches(
+    pat_codes: np.ndarray,
+    pat_goals: np.ndarray,
+    codes: np.ndarray,
+    goal_ids: np.ndarray,
+) -> np.ndarray:
+    """Q_match over integer codes: for each pattern (a row of
+    ``pat_codes`` with -1 for a placeholder, goal id ``pat_goals``), the
+    number of sample rows (``codes``, ``goal_ids``) it matches."""
+    counts = np.zeros(len(pat_codes), dtype=np.int64)
+    for gid in np.unique(pat_goals):
+        pidx = np.flatnonzero(pat_goals == gid)
+        rows = codes[goal_ids == gid]
+        if len(rows) == 0:
+            continue
+        step = max(1, CHUNK_CELLS // len(rows))
+        for lo in range(0, len(pidx), step):
+            chunk = pat_codes[pidx[lo:lo + step]]
+            match = np.ones((len(chunk), len(rows)), dtype=bool)
+            for c in range(codes.shape[1]):
+                p = chunk[:, c][:, None]
+                match &= (p == rows[:, c][None, :]) | (p < 0)
+            counts[pidx[lo:lo + step]] = match.sum(axis=1)
+    return counts
 
 
 def match_reference(
@@ -56,33 +70,31 @@ def match_reference(
 
 
 def collect_patterns(
-    matched: DataFrame,
+    rows: "_RuleRows",
     rule_id: str,
     var_cols: list[str],
-    goal_cols: list[str],
-    sample_size: int,
-    weight: float = 1.0,
+    pat_codes: np.ndarray,
+    pat_goals: np.ndarray,
+    counts: np.ndarray,
 ) -> list[Pattern]:
-    """Collect Q_match output into driver-side :class:`Pattern` objects.
+    """Decode coded patterns and their match counts over ``rows`` (one
+    rule's coded sample) into driver-side :class:`Pattern` objects.
 
-    ``cp`` = weight · match_count / sample_size, where ``weight`` is the
+    ``cp`` = weight · match_count / |sample|, where the weight is the
     rule's estimated share of |PROV(Φ)| (1.0 for single-rule queries).
     """
-    rows = matched.collect()
-    out: list[Pattern] = []
-    for r in rows:
-        args = tuple(r[v] for v in var_cols)
-        goals = tuple(bool(r[g]) for g in goal_cols)
-        count = int(r["match_count"])
-        cp = weight * count / sample_size if sample_size else 0.0
-        out.append(
-            Pattern(
-                rule_id=rule_id,
-                var_names=tuple(var_cols),
-                args=args,
-                goals=goals,
-                cp=cp,
-                count=count,
-            )
+    n = len(rows)
+    var_names = tuple(var_cols)
+    return [
+        Pattern(
+            rule_id=rule_id,
+            var_names=var_names,
+            args=rows.decode(pc),
+            goals=rows.goal_vectors[g],
+            cp=rows.weight * count / n if n else 0.0,
+            count=count,
         )
-    return out
+        for pc, g, count in zip(
+            pat_codes.tolist(), pat_goals.tolist(), counts.tolist()
+        )
+    ]

@@ -49,6 +49,13 @@ class Pattern:
             return 1.0
         return self.n_constants() / len(self.args)
 
+    def sort_key(self) -> tuple:
+        """Canonical order: rule, goal vector, then args with
+        placeholders last — a total order on a rule's patterns."""
+        return (
+            self.rule_id, self.goals, tuple((a is None, a) for a in self.args)
+        )
+
     def with_cp(self, cp: float, count: int) -> "Pattern":
         return replace(self, cp=cp, count=count)
 

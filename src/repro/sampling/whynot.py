@@ -55,6 +55,7 @@ class RuleSample:
 
     unified: UnifiedRule
     sample: DataFrame  # local DataFrame of the ≤ n_S sampled rows
+    rows: list[tuple]  # the same rows, collected, in the sample's column order
     n_s: int
     n_os: int
     p_prov: float
@@ -103,7 +104,7 @@ def sample_whynot_rule(
 
     def empty() -> RuleSample:
         sample = spark.createDataFrame([], schema)
-        return RuleSample(unified, sample, n_s, 0, 0.0, n_all, 0.0, 0, False)
+        return RuleSample(unified, sample, [], n_s, 0, 0.0, n_all, 0.0, 0, False)
 
     if n_all == 0:
         return empty()
@@ -151,6 +152,7 @@ def sample_whynot_rule(
     return RuleSample(
         unified=unified,
         sample=spark.createDataFrame(rows, schema),
+        rows=rows,
         n_s=n_s,
         n_os=n_os,
         p_prov=p_prov,

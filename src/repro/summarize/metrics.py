@@ -3,9 +3,9 @@
 The score of a summary S is the harmonic mean of completeness cp(S) and
 informativeness info(S). cp(S) needs the size of the *union* of match
 sets; :class:`SampleStore` holds the per-rule sample derivations on the
-driver and computes that union exactly over the sample with cached
-per-pattern match bitsets. For multi-rule (UCQ) questions each rule's
-sample is weighted by the rule's (estimated) share of |PROV(Φ)|.
+driver, integer-coded, and computes that union exactly over the sample.
+For multi-rule (UCQ) questions each rule's sample is weighted by the
+rule's (estimated) share of |PROV(Φ)|.
 """
 from __future__ import annotations
 
@@ -34,9 +34,60 @@ def info_of_set(patterns: Iterable[Pattern]) -> float:
 
 @dataclass
 class _RuleRows:
-    args: list[tuple]
-    goals: list[tuple[bool, ...]]
+    """One rule's sample as integer codes.
+
+    ``codes[i, c]`` is the code of row i's value in column c (-1 for
+    None); ``values[c][code]`` is that value, codes following the sorted
+    order of the column's distinct values. ``goal_ids[i]`` indexes
+    ``goal_vectors``, the sorted distinct goal-annotation vectors.
+    """
+
+    codes: np.ndarray  # (n, v) int64
+    values: list[list]  # per column, code → value
+    index: list[dict] = field(repr=False)  # per column, value → code
+    goal_ids: np.ndarray  # (n,) int64
+    goal_vectors: list[tuple[bool, ...]]
     weight: float
+
+    @classmethod
+    def encode(
+        cls, rows: Sequence[tuple[tuple, tuple[bool, ...]]], weight: float
+    ) -> "_RuleRows":
+        n_cols = len(rows[0][0]) if rows else 0
+        values = [
+            sorted({r[0][c] for r in rows} - {None}) for c in range(n_cols)
+        ]
+        index = [{v: i for i, v in enumerate(col)} for col in values]
+        goal_vectors = sorted({r[1] for r in rows})
+        goal_index = {g: i for i, g in enumerate(goal_vectors)}
+        codes = np.array(
+            [
+                [-1 if a is None else ix[a] for a, ix in zip(r[0], index)]
+                for r in rows
+            ],
+            dtype=np.int64,
+        ).reshape(len(rows), n_cols)
+        goal_ids = np.array([goal_index[r[1]] for r in rows], dtype=np.int64)
+        return cls(codes, values, index, goal_ids, goal_vectors, weight)
+
+    def __len__(self) -> int:
+        return len(self.goal_ids)
+
+    def decode(self, code_row: Sequence[int]) -> tuple:
+        """Values of one code row; -1 (placeholder or None) decodes to None."""
+        return tuple(
+            None if c < 0 else col[c] for c, col in zip(code_row, self.values)
+        )
+
+    @property
+    def args(self) -> list[tuple]:
+        """The sample rows' variable bindings, decoded."""
+        return [self.decode(r) for r in self.codes.tolist()]
+
+    @property
+    def goals(self) -> list[tuple[bool, ...]]:
+        """The sample rows' goal-annotation vectors, decoded."""
+        return [self.goal_vectors[g] for g in self.goal_ids.tolist()]
 
 
 @dataclass
@@ -45,7 +96,6 @@ class SampleStore:
     summing to 1 (a single-rule question has weight 1.0)."""
 
     rules: dict[str, _RuleRows] = field(default_factory=dict)
-    _mask_cache: dict[Pattern, np.ndarray] = field(default_factory=dict, repr=False)
 
     def add_rule(
         self,
@@ -53,9 +103,7 @@ class SampleStore:
         rows: Sequence[tuple[tuple, tuple[bool, ...]]],
         weight: float,
     ) -> None:
-        self.rules[rule_id] = _RuleRows(
-            args=[r[0] for r in rows], goals=[r[1] for r in rows], weight=weight
-        )
+        self.rules[rule_id] = _RuleRows.encode(rows, weight)
 
     def normalize_weights(self) -> None:
         total = sum(r.weight for r in self.rules.values())
@@ -64,30 +112,48 @@ class SampleStore:
                 r.weight /= total
 
     def n_rows(self, rule_id: str) -> int:
-        return len(self.rules[rule_id].args)
+        return len(self.rules[rule_id])
 
     def _mask(self, p: Pattern) -> np.ndarray:
         """Boolean vector over the pattern's rule-sample: which sample
-        derivations match p (cached — the expensive part of cp(S))."""
-        cached = self._mask_cache.get(p)
-        if cached is not None:
-            return cached
+        derivations match p (same goal vector and, at every constant of
+        p, the same value). A constant absent from the sample matches
+        nothing."""
         rows = self.rules[p.rule_id]
-        n = len(rows.args)
-        mask = np.zeros(n, dtype=bool)
-        const_pos = [i for i, a in enumerate(p.args) if a is not None]
-        for j in range(n):
-            if rows.goals[j] != p.goals:
-                continue
-            d = rows.args[j]
-            if all(p.args[i] == d[i] for i in const_pos):
-                mask[j] = True
-        self._mask_cache[p] = mask
+        try:
+            gid = rows.goal_vectors.index(p.goals)
+            consts = [
+                (c, rows.index[c][a]) for c, a in enumerate(p.args) if a is not None
+            ]
+        except (ValueError, KeyError):
+            return np.zeros(len(rows), dtype=bool)
+        mask = rows.goal_ids == gid
+        for c, code in consts:
+            mask &= rows.codes[:, c] == code
         return mask
+
+    def mask_matrix(self, patterns: Sequence[Pattern]) -> tuple[np.ndarray, np.ndarray]:
+        """(masks, w): ``masks[i]`` marks the sample rows, over all rules
+        laid end to end, that ``patterns[i]`` matches; row r of rule R has
+        weight ``w[r] = weight_R / n_R``, so cp(S) = w · OR(masks of S)."""
+        offsets, start = {}, 0
+        for rule_id, rows in self.rules.items():
+            offsets[rule_id] = start
+            start += len(rows)
+        masks = np.zeros((len(patterns), start), dtype=bool)
+        for i, p in enumerate(patterns):
+            off = offsets[p.rule_id]
+            m = self._mask(p)
+            masks[i, off:off + len(m)] = m
+        w = np.concatenate(
+            [np.full(len(r), r.weight / len(r)) for r in self.rules.values() if len(r)]
+            or [np.zeros(0)]
+        )
+        return masks, w
 
     def cp_of_pattern(self, p: Pattern) -> float:
         rows = self.rules[p.rule_id]
-        n = len(rows.args)
+        n = len(rows)
         if n == 0:
             return 0.0
         return rows.weight * float(self._mask(p).sum()) / n
@@ -101,7 +167,7 @@ class SampleStore:
         total = 0.0
         for rule_id, ps in by_rule.items():
             rows = self.rules[rule_id]
-            n = len(rows.args)
+            n = len(rows)
             if n == 0:
                 continue
             union = np.zeros(n, dtype=bool)

@@ -5,34 +5,37 @@
 1. **capture/sampling** — why: instrumented evaluation (+ uniform cut to
    n_S); why-not: the batch sampling pipeline of Sec. 5 (or the FULL
    enumeration when ``use_full``);
-2. **pattern generation** — the LCA self-join (Sec. 6);
+2. **pattern generation** — LCA candidates (Sec. 6);
 3. **metric estimation** — match counting over the sample (Sec. 7);
-4. **top-k construction** — driver-side best-first search (Sec. 8).
+4. **top-k construction** — best-first search (Sec. 8).
 
-Phases 1–3 are Catalyst plans; the phase boundaries are materialization
-points (persist + count) so the reported per-phase timings measure the
-actual work, mirroring the per-phase bars of Figs. 6–7.
+Phase 1 runs in Catalyst, because it touches the database, and ends by
+collecting each rule's ≤ n_S-row sample to the driver once, where
+:class:`SampleStore` keeps it as integer codes. Phases 2–4 work over
+those codes in numpy on the driver; nothing in them launches a Spark
+job. The per-phase timings mirror the per-phase bars of Figs. 6–7.
 """
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Observation
 from pyspark.sql import functions as F
 
 from repro.core.ast import Program
 from repro.core.unify import WHY, WHYNOT, PQuestion, UnifiedRule
 from repro.engine.catalog import Catalog
-from repro.patterns.lca import lca_candidates
-from repro.patterns.matching import collect_patterns, match_counts
+from repro.patterns.lca import lca_codes
+from repro.patterns.matching import collect_patterns, count_matches
 from repro.patterns.pattern import Pattern
 from repro.provenance.annotate import goal_column_names
 from repro.provenance.why import why_provenance
 from repro.provenance.whynot_full import whynot_full
 from repro.sampling.whynot import sample_whynot
 from repro.summarize.metrics import SampleStore, harmonic, info_of_set
-from repro.summarize.topk import SearchResult, topk_bestfirst
+from repro.summarize.topk import SearchResult, rank_key, topk_bestfirst
 
 
 @dataclass
@@ -86,9 +89,9 @@ def _capture(
     use_full: bool,
     max_n_os: int,
     max_full_derivations: int | None,
-) -> list[tuple[UnifiedRule, DataFrame, float, dict]]:
-    """Phase 1: per rule, (unified rule, sample DataFrame, raw weight,
-    shortfall stats).
+) -> list[tuple[UnifiedRule, list, float, dict]]:
+    """Phase 1: per rule, (unified rule, collected sample rows as
+    ``(args, goals)``, raw weight, shortfall stats).
 
     Raw weights are each rule's (estimated) share of |PROV(Φ)| before
     normalization: exact derivation counts for why / FULL why-not,
@@ -96,33 +99,42 @@ def _capture(
     ``n_survivors`` (distinct derivations available before the n_S cut)
     and ``capped`` (the why-not over-sample hit ``max_n_os``).
     """
-    out: list[tuple[UnifiedRule, DataFrame, float, dict]] = []
+    out: list[tuple[UnifiedRule, list, float, dict]] = []
+
+    def cols(u: UnifiedRule) -> tuple[list[str], list[str]]:
+        return [v.name for v in u.unbound], goal_column_names(u.n_goals)
+
     if question.qtype == WHY:
         for u, df in why_provenance(catalog, program, question.ptuple):
-            df = df.persist()
-            full = df.count()
-            if full == 0:
-                df.unpersist()
-                continue
-            sample = (
-                df.orderBy(F.rand(seed + 11)).limit(n_s) if full > n_s else df
+            # uniform cut to n_S in Catalyst (why provenance grows with the
+            # database), ordered by a seeded hash of the row, then the row:
+            # unlike rand(seed), that order does not depend on how Spark
+            # partitions the data. The observation counts every row on its
+            # way into the cut, so the same action yields |Why| too.
+            seen = Observation()
+            order = [F.col(c) for c in df.columns]
+            cut = (
+                df.observe(seen, F.count(F.lit(1)).alias("n"))
+                .orderBy(F.xxhash64(F.lit(seed), *order), *order)
+                .limit(n_s)
             )
-            out.append(
-                (u, sample, float(full), {"n_survivors": full, "capped": False})
-            )
+            rows = _collect_rows(cut, *cols(u))
+            full = seen.get["n"]
+            if rows:
+                out.append(
+                    (u, rows, float(full), {"n_survivors": full, "capped": False})
+                )
         return out
     if use_full:
         for u, df in whynot_full(
             catalog, program, question.ptuple, domains, max_full_derivations
         ):
-            df = df.persist()
-            full = df.count()
-            if full == 0:
-                df.unpersist()
-                continue
-            out.append(
-                (u, df, float(full), {"n_survivors": full, "capped": False})
-            )
+            rows = _collect_rows(df, *cols(u))
+            if rows:
+                out.append(
+                    (u, rows, float(len(rows)),
+                     {"n_survivors": len(rows), "capped": False})
+                )
         return out
     for rs in sample_whynot(
         catalog,
@@ -134,14 +146,17 @@ def _capture(
         domains=domains,
         max_n_os=max_n_os,
     ):
-        out.append(
-            (
-                rs.unified,
-                rs.sample,
-                float(rs.est_whynot_size),
-                {"n_survivors": rs.n_survivors, "capped": rs.capped},
+        n_vars = len(rs.unified.unbound)
+        rows = [(r[:n_vars], tuple(map(bool, r[n_vars:]))) for r in rs.rows]
+        if rows:
+            out.append(
+                (
+                    rs.unified,
+                    rows,
+                    float(rs.est_whynot_size),
+                    {"n_survivors": rs.n_survivors, "capped": rs.capped},
+                )
             )
-        )
     return out
 
 
@@ -173,92 +188,58 @@ def pattern_inputs(
     estimation (phases 1–3 of Sec. 4)."""
     timings: dict[str, float] = {}
 
-    # --- phase 1: capture / sampling ---
+    # --- phase 1: capture / sampling, collected once and integer-coded ---
     t0 = time.perf_counter()
     captured = _capture(
         catalog, program, question, n_s, p_success, seed, domains,
         use_full, max_n_os, max_full_derivations,
     )
-    per_rule_data = []
-    for u, sample_df, raw_weight, shortfall in captured:
-        var_cols = [v.name for v in u.unbound]
-        goal_cols = goal_column_names(u.n_goals)
-        sample_df = sample_df.persist()
-        n_rows = sample_df.count()
-        if n_rows == 0:
-            sample_df.unpersist()
-            continue
-        per_rule_data.append(
-            {
-                "unified": u,
-                "sample_df": sample_df,
-                "var_cols": var_cols,
-                "goal_cols": goal_cols,
-                "n_rows": n_rows,
-                "raw_weight": raw_weight,
-                "shortfall": shortfall,
-            }
-        )
-    timings["sample"] = time.perf_counter() - t0
-
     store = SampleStore()
-    if not per_rule_data:
-        timings["pattern_gen"] = timings["metrics"] = 0.0
-        return PatternInputs([], store, 0, timings, [])
-
-    total_weight = sum(d["raw_weight"] for d in per_rule_data)
-    for d in per_rule_data:
-        d["weight"] = (
-            d["raw_weight"] / total_weight if total_weight > 0
-            else 1.0 / len(per_rule_data)
+    total_weight = sum(raw_weight for _, _, raw_weight, _ in captured)
+    for u, rows, raw_weight, _ in captured:
+        weight = (
+            raw_weight / total_weight if total_weight > 0 else 1.0 / len(captured)
         )
+        store.add_rule(u.rule_id, rows, weight)
+    timings["sample"] = time.perf_counter() - t0
 
     # --- phase 2: pattern candidate generation (LCA) ---
     t0 = time.perf_counter()
-    for d in per_rule_data:
-        lca_df = lca_candidates(d["sample_df"], d["var_cols"], d["goal_cols"])
-        lca_df = lca_df.persist()
-        d["lca_df"] = lca_df
-        d["n_candidates"] = lca_df.count()
+    candidates = {
+        rule_id: lca_codes(rows.codes, rows.goal_ids)
+        for rule_id, rows in store.rules.items()
+    }
     timings["pattern_gen"] = time.perf_counter() - t0
 
     # --- phase 3: metric estimation (match counting) ---
     t0 = time.perf_counter()
     all_patterns: list[Pattern] = []
-    for d in per_rule_data:
-        matched = match_counts(
-            d["lca_df"], d["sample_df"], d["var_cols"], d["goal_cols"]
+    for u, _, _, _ in captured:
+        rows = store.rules[u.rule_id]
+        pat_codes, pat_goals = candidates[u.rule_id]
+        counts = count_matches(pat_codes, pat_goals, rows.codes, rows.goal_ids)
+        all_patterns.extend(
+            collect_patterns(
+                rows, u.rule_id, [v.name for v in u.unbound],
+                pat_codes, pat_goals, counts,
+            )
         )
-        ps = collect_patterns(
-            matched,
-            d["unified"].rule_id,
-            d["var_cols"],
-            d["goal_cols"],
-            d["n_rows"],
-            weight=d["weight"],
-        )
-        all_patterns.extend(ps)
-        rows = _collect_rows(d["sample_df"], d["var_cols"], d["goal_cols"])
-        store.add_rule(d["unified"].rule_id, rows, d["weight"])
     timings["metrics"] = time.perf_counter() - t0
 
     per_rule_stats = [
         {
-            "rule_id": d["unified"].rule_id,
-            "n_sample": d["n_rows"],
-            "n_candidates": d["n_candidates"],
-            "weight": d["weight"],
-            **d["shortfall"],
+            "rule_id": u.rule_id,
+            "n_sample": len(store.rules[u.rule_id]),
+            "n_candidates": len(candidates[u.rule_id][1]),
+            "weight": store.rules[u.rule_id].weight,
+            **shortfall,
         }
-        for d in per_rule_data
+        for u, _, _, shortfall in captured
     ]
-    for d in per_rule_data:
-        d["sample_df"].unpersist()
-        d["lca_df"].unpersist()
     return PatternInputs(
         patterns=all_patterns,
         store=store,
-        n_candidates=sum(d["n_candidates"] for d in per_rule_data),
+        n_candidates=len(all_patterns),
         timings=timings,
         per_rule=per_rule_stats,
     )
@@ -270,12 +251,11 @@ def select_topk(
     max_patterns: int = 64,
     max_pops: int = 20_000,
 ) -> SearchResult:
-    """Phase 4: prune to the strongest candidates by singleton score
-    (heuristic cap, see DESIGN.md) and run the best-first search."""
-    pruned = sorted(
-        inputs.patterns, key=lambda p: harmonic(p.cp, p.info()), reverse=True
-    )[:max_patterns]
-    return topk_bestfirst(pruned, k, max_pops=max_pops)
+    """Phase 4: prune to the strongest candidates by singleton score,
+    then cp, then canonical order (heuristic cap, see DESIGN.md), and run
+    the best-first search."""
+    pruned = heapq.nsmallest(max_patterns, inputs.patterns, key=rank_key)
+    return topk_bestfirst(pruned, k, inputs.store, max_pops=max_pops)
 
 
 def summarize(

@@ -1,9 +1,12 @@
 """Tests for completeness bounds via generalization/disjointness
 (Sec. 8.1, including the exact numbers of Example 10)."""
+import random
+
 import pytest
 
 from repro.summarize.bounds import cp_lower, cp_upper, s_lb, s_ub
 from tests.test_patterns_pure import mk
+from tests.test_topk import _random_instance
 
 
 class TestExample10:
@@ -92,3 +95,14 @@ class TestCpBounds:
              mk((None, None), (False, False), cp=0.35)]
         assert cp_lower(S) == pytest.approx(0.75)
         assert cp_upper(S) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_cp_within_bounds(self, seed):
+        # on LCA patterns with exact cp estimates, every 3-subset's exact
+        # cp over the sample lies between the Sec. 8.1 bounds
+        patterns, store = _random_instance(seed)
+        rng = random.Random(seed)
+        for _ in range(20):
+            S = rng.sample(patterns[:15], 3)
+            cp = store.cp_of_set(S)
+            assert cp_lower(S) - 1e-9 <= cp <= cp_upper(S) + 1e-9

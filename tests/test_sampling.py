@@ -3,9 +3,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.unify import WHYNOT, PQuestion, parse_ptuple, unify_rule
+from repro.core.unify import WHY, WHYNOT, PQuestion, parse_ptuple, unify_rule
 from repro.datasets.airbnb import airbnb_program, s_airbnb
 from repro.datasets.graph_r import graph_r, rex_program
+from repro.datasets.license import license_db, r1_program
 from repro.engine.catalog import Catalog
 from repro.sampling.ops import canonical_sort, sample_with_replacement
 from repro.sampling.whynot import sample_whynot, sample_whynot_rule
@@ -210,6 +211,15 @@ class TestSampleWhynot:
         assert not rs.capped
         assert rs.sample.count() == 5 < rs.n_survivors <= 12
 
+    def test_rows_are_the_sample(self, rex):
+        catalog, prog, domains = rex
+        u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
+        rs = sample_whynot_rule(
+            catalog, prog, u, n_s=5, seed=0, domains=domains
+        )
+        assert len(rs.rows) == 5
+        assert sorted(tuple(r) for r in rs.sample.collect()) == sorted(rs.rows)
+
 
 class TestPartitioningInvariance:
     """A sampled summary is a function of (data, question, seed, k, n_S):
@@ -231,20 +241,45 @@ class TestPartitioningInvariance:
         )
         return rows, sorted(p.pretty() for p in s.patterns), round(s.score, 12)
 
-    def test_same_sample_and_summary_under_any_partitioning(self, spark):
-        prog = airbnb_program()
-        tables = s_airbnb(spark)
+    @staticmethod
+    def _under_partitionings(spark, tables, run):
+        """run(tables) under shuffle partitions 4, 16 and 64, then with
+        every input table repartitioned to 1 and to 7 partitions."""
         old = spark.conf.get("spark.sql.shuffle.partitions")
         try:
             results = []
             for parts in ("4", "16", "64"):
                 spark.conf.set("spark.sql.shuffle.partitions", parts)
-                results.append(self._run(spark, tables, prog))
+                results.append(run(tables))
         finally:
             spark.conf.set("spark.sql.shuffle.partitions", old)
         for n in (1, 7):
-            repart = {k: df.repartition(n) for k, df in tables.items()}
-            results.append(self._run(spark, repart, prog))
+            results.append(run({k: df.repartition(n) for k, df in tables.items()}))
+        return results
+
+    def test_same_sample_and_summary_under_any_partitioning(self, spark):
+        prog = airbnb_program()
+        results = self._under_partitionings(
+            spark, s_airbnb(spark), lambda ts: self._run(spark, ts, prog)
+        )
         rows, patterns, score = results[0]
         assert 0 < len(rows) <= 30 and patterns
+        assert results[1:] == [results[0]] * 4
+
+    def test_same_why_summary_under_any_partitioning(self, spark):
+        # more why derivations than n_S: the n_S cut picks the sample
+        prog = r1_program()
+
+        def run(tables):
+            s = summarize(
+                Catalog(spark, tables), prog,
+                PQuestion(parse_ptuple("InvalidD(C)"), WHY), k=3, n_s=40, seed=5,
+            )
+            assert s.per_rule[0]["n_survivors"] > 40
+            return sorted(p.pretty() for p in s.patterns), round(s.score, 12)
+
+        results = self._under_partitionings(
+            spark, license_db(spark, n=500, seed=0), run
+        )
+        assert results[0][0]
         assert results[1:] == [results[0]] * 4
