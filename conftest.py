@@ -83,3 +83,18 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _clear_spark_cache():
+    """Unpersist every cached DataFrame after each test module.
+
+    Each ``Catalog`` persists the Q(D) it evaluates, and the tests build
+    hundreds of throwaway catalogs; without this their cached relations
+    would pile up over the session. Nothing depends on the cache: an
+    evicted relation is recomputed. Modules that never start Spark skip it.
+    """
+    yield
+    s = SparkSession.getActiveSession()
+    if s is not None:
+        s.catalog.clearCache()

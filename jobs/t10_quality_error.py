@@ -18,10 +18,22 @@ def main() -> None:
     ap.add_argument("--size", type=int, default=5000)
     ap.add_argument("--samples", default="50,100,500")
     ap.add_argument("--ks", default="1,3,5,10")
+    ap.add_argument(
+        "--unbound-why", action="store_true",
+        help="only the all-placeholder r1 why question (results/t10_why_unbound.txt)",
+    )
     args = ap.parse_args()
     spark = get_spark("t10_quality_error")
     samples = [int(x) for x in args.samples.split(",")]
     ks = [int(x) for x in args.ks.split(",")]
+    if args.unbound_why:
+        rows = run_quality_error(
+            spark, "r1", WHY, args.size, samples, ks, unbound_why=True
+        )
+        print(f"\n== T10 r1 why unbound (ref=FULL, {args.size} rows) ==")
+        print(format_rows(rows))
+        spark.stop()
+        return
     rows = run_quality_error(spark, "r1", WHY, args.size, samples, ks)
     print("\n== T10 r1 why (reference: FULL provenance) ==")
     print(format_rows(rows))

@@ -18,7 +18,6 @@ from pyspark.sql import functions as F
 from repro.core.ast import Program
 from repro.core.unify import PTuple, unify_program
 from repro.engine.catalog import Catalog
-from repro.engine.eval import evaluate
 from repro.patterns.pattern import Pattern
 from repro.provenance.annotate import goal_column_names
 from repro.provenance.whynot_full import count_all_derivations, whynot_full_rule
@@ -48,7 +47,7 @@ def artemis_explain(
     max_derivations: int = 2_000_000,
 ) -> ArtemisExplanation:
     """Enumerate Whynot(Q, D, t) and generalize per goal-annotation group."""
-    result = evaluate(catalog, program)
+    result = catalog.result(program)
     patterns: list[Pattern] = []
     total = 0
     for u in unify_program(program, t):

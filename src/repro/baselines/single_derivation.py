@@ -11,9 +11,7 @@ from __future__ import annotations
 from repro.core.ast import Program
 from repro.core.unify import PTuple, unify_program
 from repro.engine.catalog import Catalog
-from repro.engine.eval import evaluate
 from repro.patterns.pattern import Pattern
-from repro.provenance.annotate import goal_column_names
 from repro.sampling.whynot import sample_whynot_rule
 
 
@@ -27,7 +25,7 @@ def single_derivation(
 ) -> Pattern | None:
     """Return one failed derivation of a missing answer matching ``t``
     (as a fully-constant :class:`Pattern`), or ``None`` if none found."""
-    result = evaluate(catalog, program)
+    result = catalog.result(program)
     for u in unify_program(program, t):
         n_os = initial_n_os
         for attempt in range(max_attempts):
@@ -40,16 +38,14 @@ def single_derivation(
                 result=result,
                 max_n_os=n_os,
             )
-            rows = rs.sample.limit(1).collect()
-            if rows:
-                r = rows[0]
-                var_cols = [v.name for v in u.unbound]
-                goal_cols = goal_column_names(u.n_goals)
+            if rs.rows:
+                r = rs.rows[0]
+                n_vars = len(u.unbound)
                 return Pattern(
                     rule_id=u.rule_id,
-                    var_names=tuple(var_cols),
-                    args=tuple(r[v] for v in var_cols),
-                    goals=tuple(bool(r[g]) for g in goal_cols),
+                    var_names=tuple(v.name for v in u.unbound),
+                    args=tuple(r[:n_vars]),
+                    goals=tuple(bool(g) for g in r[n_vars:]),
                     cp=0.0,
                     count=1,
                 )

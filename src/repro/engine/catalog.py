@@ -6,16 +6,42 @@ domain of the attribute — ``SELECT DISTINCT col FROM rel`` — and
 variable domains are unions of the domains of the attributes the
 variable is bound to (``attrs(X)`` in Sec. 5.2). Overrides can be
 registered per attribute for experiments that need a fixed 𝔻.
+
+Domains and the query result Q(D) depend on the database and the query,
+not on the provenance question, so the catalog keeps them: each
+collected domain and each Q(D) is computed on first use and reused by
+every later question.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable, Sequence
+
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.types import StructField
 
-from repro.core.ast import Rule, Var
+from repro.core.ast import Program, Rule, Var
+from repro.engine.eval import evaluate
 
 #: An attribute occurrence: (relation name, 0-based column position).
 Occurrence = tuple[str, int]
+#: A collected unary domain: its column and its canonically sorted values.
+Values = tuple[StructField, tuple]
+
+
+def _key(row: Sequence) -> tuple:
+    return tuple((v is None, v) for v in row)
+
+
+def canonical_sort(rows: Iterable[Sequence]) -> list[tuple]:
+    """Rows as tuples, sorted column by column with None last: an order
+    that depends only on the values, not on how Spark partitioned them."""
+    return sorted(map(tuple, rows), key=_key)
+
+
+def collect_values(df: DataFrame) -> Values:
+    """A unary DataFrame's column and its values, canonically sorted."""
+    return df.schema[0], tuple(r[0] for r in canonical_sort(df.collect()))
 
 
 class Catalog:
@@ -25,7 +51,8 @@ class Catalog:
         self.spark = spark
         self._tables = dict(tables)
         self._domain_overrides: dict[Occurrence, DataFrame] = {}
-        self._domain_size_cache: dict[tuple[Occurrence, ...], int] = {}
+        self._domain_values: dict[Hashable, Values] = {}
+        self._results: dict[Program, DataFrame] = {}
 
     def relation_names(self) -> list[str]:
         return sorted(self._tables)
@@ -47,7 +74,7 @@ class Catalog:
         if len(domain.columns) != 1:
             raise ValueError("a domain must be a unary DataFrame")
         self._domain_overrides[(relation, pos)] = domain
-        self._domain_size_cache.clear()
+        self._domain_values.clear()
 
     def attribute_domain(self, relation: str, pos: int) -> DataFrame:
         """𝔻_A for one attribute as a unary DataFrame named ``value``."""
@@ -69,11 +96,32 @@ class Catalog:
             out = out.union(d.select(F.col("value").cast(base_type)))
         return out.distinct()
 
+    def domain_values(self, key: Hashable, plan: Callable[[], DataFrame]) -> Values:
+        """The unary domain ``plan()``, collected and canonically sorted
+        the first time ``key`` is asked for, then reused until
+        :meth:`set_domain` changes a domain.
+
+        ``key`` is ``(attrs(X), θ_X)``: the occurrences whose domains
+        ``plan`` unions, in order, and the constant comparisons it
+        filters them by, so a filtered and an unfiltered domain of one
+        attribute never share an entry.
+        """
+        hit = self._domain_values.get(key)
+        if hit is None:
+            hit = self._domain_values[key] = collect_values(plan())
+        return hit
+
     def domain_size(self, occurrences: list[Occurrence]) -> int:
-        key = tuple(sorted(occurrences))
-        if key not in self._domain_size_cache:
-            self._domain_size_cache[key] = self.domain(occurrences).count()
-        return self._domain_size_cache[key]
+        key = (tuple(occurrences), ())
+        return len(self.domain_values(key, lambda: self.domain(occurrences))[1])
+
+    def result(self, program: Program) -> DataFrame:
+        """Q(D) for ``program``: evaluated and persisted on first use,
+        then reused. An evicted cache entry is recomputed by Spark."""
+        df = self._results.get(program)
+        if df is None:
+            df = self._results[program] = evaluate(self, program).persist()
+        return df
 
 
 def attrs_of_vars(rule: Rule) -> dict[Var, list[Occurrence]]:

@@ -13,12 +13,16 @@ all Catalyst-optimized DataFrame operations.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.ast import Atom, Comparison, Const, Program, Rule, Var, vars_in_order
 from repro.core.sqlgen import head_columns
-from repro.engine.catalog import Catalog
+
+if TYPE_CHECKING:  # the catalog caches Q(D), so it imports this module
+    from repro.engine.catalog import Catalog
 
 _OP_FN = {
     "<": lambda a, b: a < b,

@@ -7,7 +7,7 @@ from repro.core.ast import Const, Program
 from repro.core.unify import PTuple, unify_program
 from repro.engine.catalog import Catalog
 from repro.engine.eval import evaluate
-from repro.provenance.whynot_full import variable_domain
+from repro.provenance.whynot_full import variable_values
 
 
 def bind_first_answer(
@@ -32,7 +32,7 @@ def whynot_space(catalog: Catalog, program: Program, t: PTuple) -> float:
     for u in unify_program(program, t):
         prod = 1.0
         for var in u.unbound:
-            prod *= variable_domain(catalog, u, var).count()
+            prod *= len(variable_values(catalog, u, var)[1])
         total += prod
     return total
 

@@ -57,8 +57,10 @@ def run_artemis_comparison(
         }
         t0 = time.perf_counter()
         try:
+            # a catalog of its own: no reuse of the domains and Q(D) that
+            # PUG-Summ's run left on the first one
             art = artemis_explain(
-                catalog, program, t, max_derivations=artemis_budget
+                Catalog(spark, db), program, t, max_derivations=artemis_budget
             )
             row["t_artemis"] = time.perf_counter() - t0
             row["artemis_top_info"] = art.top().info()
@@ -87,9 +89,12 @@ def run_single_derivation_comparison(
         t0 = time.perf_counter()
         d = single_derivation(catalog, program, t, seed=seed)
         t_single = time.perf_counter() - t0
+        # a catalog of its own: no reuse of the single-derivation run's
+        # domains and Q(D)
         t0 = time.perf_counter()
         s = summarize(
-            catalog, program, PQuestion(t, WHYNOT), k=k, n_s=n_s, seed=seed
+            Catalog(spark, db), program, PQuestion(t, WHYNOT), k=k, n_s=n_s,
+            seed=seed,
         )
         t_summ = time.perf_counter() - t0
         rows.append(

@@ -12,11 +12,18 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql.types import StructField
 
 from repro.core.ast import Comparison, Const, Program, Var
 from repro.core.unify import PTuple, UnifiedRule, unify_program
-from repro.engine.catalog import Catalog, attrs_of_vars
-from repro.engine.eval import comparison_column, evaluate
+from repro.engine.catalog import (
+    Catalog,
+    Occurrence,
+    Values,
+    attrs_of_vars,
+    collect_values,
+)
+from repro.engine.eval import comparison_column
 from repro.provenance.annotate import annotate_goals, anti_join_existing
 
 
@@ -50,14 +57,40 @@ def variable_domain(
         dom = domains[var.name]
         dom = dom.select(F.col(dom.columns[0]).alias("value")).distinct()
     else:
-        occs = attrs_of_vars(unified.rule).get(var)
-        if not occs:
-            raise ValueError(f"variable {var.name} has no attribute occurrences")
-        dom = catalog.domain(occs)
+        dom = catalog.domain(_occurrences(unified, var))
     out = dom.select(F.col("value").alias(var.name))
     for c in per_var.get(var.name, []):
         out = out.filter(comparison_column(c))
     return out
+
+
+def _occurrences(unified: UnifiedRule, var: Var) -> list[Occurrence]:
+    occs = attrs_of_vars(unified.rule).get(var)
+    if not occs:
+        raise ValueError(f"variable {var.name} has no attribute occurrences")
+    return occs
+
+
+def variable_values(
+    catalog: Catalog,
+    unified: UnifiedRule,
+    var: Var,
+    domains: dict[str, DataFrame] | None = None,
+) -> Values:
+    """:func:`variable_domain` collected and canonically sorted.
+
+    A domain derived from the catalog is collected once per catalog and
+    (attrs(X), θ_X); a per-question override in ``domains`` is collected
+    on every call and never cached.
+    """
+    if domains is not None and var.name in domains:
+        return collect_values(variable_domain(catalog, unified, var, domains))
+    per_var, _ = split_comparisons(unified)
+    key = (tuple(_occurrences(unified, var)), tuple(per_var.get(var.name, ())))
+    field, values = catalog.domain_values(
+        key, lambda: variable_domain(catalog, unified, var)
+    )
+    return StructField(var.name, field.dataType, field.nullable), values
 
 
 def all_valuations(
@@ -87,7 +120,7 @@ def count_all_derivations(
     """|A(Q, D, t)| ignoring comparisons: product of domain sizes (Sec. 5.3)."""
     total = 1
     for var in unified.unbound:
-        total *= variable_domain(catalog, unified, var, domains).count()
+        total *= len(variable_values(catalog, unified, var, domains)[1])
     return total
 
 
@@ -113,7 +146,7 @@ def whynot_full_rule(
             )
     vals = all_valuations(catalog, unified, domains)
     if result is None:
-        result = evaluate(catalog, program)
+        result = catalog.result(program)
     failed = anti_join_existing(vals, result, unified)
     return annotate_goals(catalog, unified, failed).distinct()
 
@@ -126,7 +159,7 @@ def whynot_full(
     max_derivations: int | None = 5_000_000,
 ) -> list[tuple[UnifiedRule, DataFrame]]:
     """Whynot(Q, D, t) per rule: [(unified rule, annotated derivations)]."""
-    result = evaluate(catalog, program)
+    result = catalog.result(program)
     return [
         (
             u,

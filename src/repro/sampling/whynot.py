@@ -12,8 +12,10 @@ Per unified rule r_t the pipeline is the paper's three-step query:
    cut down to n_S derivations.
 
 Work that touches the database stays in Catalyst: the domains, Q(D),
-the anti-join and the goal annotation. Each domain is collected once
-and the draws are made on the driver (``repro.sampling.ops``); the
+the anti-join and the goal annotation. The domains and Q(D) do not
+depend on the question, so the catalog computes them once and every
+question reuses them (``Catalog.domain_values``, ``Catalog.result``).
+The draws are made on the driver (``repro.sampling.ops``); the
 drawn bindings go back as one DataFrame, steps 1–3 run as one plan
 with one ``collect()``, and the n_S cut is drawn on the driver from the
 canonically sorted survivors. Every draw comes from one
@@ -24,23 +26,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import BooleanType, StructField, StructType
 
 from repro.core.ast import Program, Var
 from repro.core.unify import PTuple, UnifiedRule, unify_program
-from repro.engine.catalog import Catalog
-from repro.engine.eval import comparison_column, evaluate
+from repro.engine.catalog import Catalog, canonical_sort
+from repro.engine.eval import comparison_column
 from repro.provenance.annotate import (
     annotate_goals,
     anti_join_existing,
     filter_result_to_head,
     goal_column_names,
 )
-from repro.provenance.whynot_full import split_comparisons, variable_domain
-from repro.sampling.ops import canonical_sort, sample_with_replacement
+from repro.provenance.whynot_full import split_comparisons, variable_values
+from repro.sampling.ops import sample_with_replacement
 from repro.sampling.oversample import (
     comparison_selectivity,
     min_oversample_size,
@@ -54,8 +57,8 @@ class RuleSample:
     statistics needed for reweighting and reporting."""
 
     unified: UnifiedRule
-    sample: DataFrame  # local DataFrame of the ≤ n_S sampled rows
-    rows: list[tuple]  # the same rows, collected, in the sample's column order
+    schema: StructType  # unbound variables, then goals g1…gm
+    rows: list[tuple]  # the ≤ n_S sampled rows, in the schema's column order
     n_s: int
     n_os: int
     p_prov: float
@@ -67,6 +70,11 @@ class RuleSample:
     @property
     def rule_id(self) -> str:
         return self.unified.rule_id
+
+    @cached_property
+    def sample(self) -> DataFrame:
+        """The rows as a local DataFrame, built on first read."""
+        return SparkSession.active().createDataFrame(self.rows, self.schema)
 
 
 def sample_whynot_rule(
@@ -87,24 +95,23 @@ def sample_whynot_rule(
     and ``n_os`` is 0.
     """
     if result is None:
-        result = evaluate(catalog, program)
+        result = catalog.result(program)
     spark = catalog.spark
 
-    # --- variable domains, each collected once and sorted ---
+    # --- variable domains, collected and sorted once per catalog ---
     fields: list[StructField] = []
-    values: list[list] = []
+    values: list[tuple] = []
     for var in unified.unbound:
-        d = variable_domain(catalog, unified, var, domains)
-        fields.append(d.schema[0])
-        values.append([r[0] for r in canonical_sort(d.collect())])
+        field, vals = variable_values(catalog, unified, var, domains)
+        fields.append(field)
+        values.append(vals)
     goals = goal_column_names(unified.n_goals)
     schema = StructType(fields + [StructField(g, BooleanType(), False) for g in goals])
     dom_sizes = {f.name: len(v) for f, v in zip(fields, values)}
     n_all = math.prod(dom_sizes.values())
 
     def empty() -> RuleSample:
-        sample = spark.createDataFrame([], schema)
-        return RuleSample(unified, sample, [], n_s, 0, 0.0, n_all, 0.0, 0, False)
+        return RuleSample(unified, schema, [], n_s, 0, 0.0, n_all, 0.0, 0, False)
 
     if n_all == 0:
         return empty()
@@ -151,7 +158,7 @@ def sample_whynot_rule(
 
     return RuleSample(
         unified=unified,
-        sample=spark.createDataFrame(rows, schema),
+        schema=schema,
         rows=rows,
         n_s=n_s,
         n_os=n_os,
@@ -178,7 +185,7 @@ def sample_whynot(
     n_OS is determined separately per rule (end of Sec. 5.2); the final
     top-k step merges the per-rule pattern sets.
     """
-    result = evaluate(catalog, program)
+    result = catalog.result(program)
     samples = []
     for i, u in enumerate(unify_program(program, t)):
         samples.append(

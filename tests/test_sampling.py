@@ -3,12 +3,14 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.ast import Var
 from repro.core.unify import WHY, WHYNOT, PQuestion, parse_ptuple, unify_rule
 from repro.datasets.airbnb import airbnb_program, s_airbnb
 from repro.datasets.graph_r import graph_r, rex_program
-from repro.datasets.license import license_db, r1_program
-from repro.engine.catalog import Catalog
-from repro.sampling.ops import canonical_sort, sample_with_replacement
+from repro.datasets.license import license_db, r1_program, r2_program
+from repro.engine.catalog import Catalog, canonical_sort
+from repro.provenance.whynot_full import variable_values
+from repro.sampling.ops import sample_with_replacement
 from repro.sampling.whynot import sample_whynot, sample_whynot_rule
 from repro.summarize.pipeline import summarize
 
@@ -283,3 +285,102 @@ class TestPartitioningInvariance:
         )
         assert results[0][0]
         assert results[1:] == [results[0]] * 4
+
+
+def _jobs_of(spark, fn):
+    """fn()'s result and the number of Spark jobs it launched."""
+    tracker = spark.sparkContext.statusTracker()
+
+    def last() -> int:
+        ids = tracker.getJobIdsForGroup(None)
+        return max(ids) if ids else -1
+
+    j0 = last()
+    out = fn()
+    return out, last() - j0
+
+
+def _summary_key(s):
+    """Everything a summary answers: patterns, score, per-rule stats and
+    the stored sample rows."""
+    rows = {rid: (r.args, r.goals) for rid, r in s.store.rules.items()}
+    return [p.pretty() for p in s.patterns], s.score, s.per_rule, rows
+
+
+class TestCatalogReuse:
+    """Variable domains and Q(D) do not depend on the question: a catalog
+    computes them once and later questions reuse them, with the same
+    summaries as a fresh catalog."""
+
+    def test_second_question_reuses_domains_and_result(self, spark):
+        tables = license_db(spark, n=300, seed=0)
+        prog = r1_program()
+        catalog = Catalog(spark, tables)
+
+        def ask(cat, city, seed):
+            q = PQuestion(parse_ptuple(f"InvalidD('{city}')"), WHYNOT)
+            return summarize(cat, prog, q, k=3, n_s=50, seed=seed)
+
+        _, first_jobs = _jobs_of(spark, lambda: ask(catalog, "city_0", 1))
+        second, second_jobs = _jobs_of(spark, lambda: ask(catalog, "city_7", 2))
+        assert second_jobs < first_jobs
+        fresh = ask(Catalog(spark, tables), "city_7", 2)
+        assert second.patterns
+        assert _summary_key(second) == _summary_key(fresh)
+
+    def test_filtered_and_unfiltered_domains_kept_apart(self, spark):
+        # r2 filters byear by B < 1953, r1 does not: on one catalog each
+        # gets its own domain, whichever is asked for first
+        tables = license_db(spark, n=300, seed=0)
+        u2 = unify_rule(r2_program().rules[0], parse_ptuple("Fsenior('x')"))
+        u1 = unify_rule(r1_program().rules[0], parse_ptuple("InvalidD('city_0')"))
+        B = Var("B")
+        fresh_filtered = variable_values(Catalog(spark, tables), u2, B)
+        fresh_all = variable_values(Catalog(spark, tables), u1, B)
+        assert max(fresh_filtered[1]) < 1953 <= max(fresh_all[1])
+        for first in (u2, u1):
+            catalog = Catalog(spark, tables)
+            variable_values(catalog, first, B)
+            assert variable_values(catalog, u2, B) == fresh_filtered
+            assert variable_values(catalog, u1, B) == fresh_all
+            assert catalog.domain_size([("LICENSE", 1)]) == len(fresh_all[1])
+
+    def test_set_domain_replaces_cached_domain(self, spark):
+        prog = airbnb_program()
+        q = PQuestion(parse_ptuple("AL(N, shared)"), WHYNOT)
+        prices = spark.createDataFrame(pd.DataFrame({"v": [10, 20, 30]}))
+        names = [v.name for v in unify_rule(prog.rules[0], q.ptuple).unbound]
+
+        def p_values(summary):
+            return {a[names.index("P")] for a in summary.store.rules["r1"].args}
+
+        catalog = Catalog(spark, s_airbnb(spark))
+        before = summarize(catalog, prog, q, k=3, n_s=30, seed=5)
+        assert p_values(before) - {10, 20, 30}
+        catalog.set_domain("AVAILABILITY", 2, prices)
+        after = summarize(catalog, prog, q, k=3, n_s=30, seed=5)
+        assert p_values(after) <= {10, 20, 30}
+        fresh = Catalog(spark, s_airbnb(spark))
+        fresh.set_domain("AVAILABILITY", 2, prices)
+        assert _summary_key(after) == _summary_key(
+            summarize(fresh, prog, q, k=3, n_s=30, seed=5)
+        )
+
+    def test_domains_argument_is_never_cached(self, spark):
+        catalog = Catalog(spark, graph_r(spark))
+        prog = rex_program()
+        u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
+
+        def xs(domains=None):
+            rs = sample_whynot_rule(
+                catalog, prog, u, n_s=50, seed=0, domains=domains
+            )
+            return {r[0] for r in rs.rows}
+
+        own = xs()
+        for values in ([2, 3], [1, 3]):  # X = 1 has an answer: never why-not
+            dom = spark.createDataFrame(pd.DataFrame({"v": values}))
+            assert xs({"X": dom}) == set(values) - {1}
+        assert xs() == own
+        fresh = sample_whynot_rule(Catalog(spark, graph_r(spark)), prog, u, n_s=50)
+        assert {r[0] for r in fresh.rows} == own
