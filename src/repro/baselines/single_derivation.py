@@ -25,7 +25,6 @@ def single_derivation(
 ) -> Pattern | None:
     """Return one failed derivation of a missing answer matching ``t``
     (as a fully-constant :class:`Pattern`), or ``None`` if none found."""
-    result = catalog.result(program)
     for u in unify_program(program, t):
         n_os = initial_n_os
         for attempt in range(max_attempts):
@@ -35,7 +34,6 @@ def single_derivation(
                 u,
                 n_s=1,
                 seed=seed + attempt,
-                result=result,
                 max_n_os=n_os,
             )
             if rs.rows:

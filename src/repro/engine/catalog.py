@@ -7,10 +7,11 @@ variable domains are unions of the domains of the attributes the
 variable is bound to (``attrs(X)`` in Sec. 5.2). Overrides can be
 registered per attribute for experiments that need a fixed 𝔻.
 
-Domains and the query result Q(D) depend on the database and the query,
-not on the provenance question, so the catalog keeps them: each
-collected domain and each Q(D) is computed on first use and reused by
-every later question.
+Domains, the query result Q(D) and the goal relations depend on the
+database and the query, not on the provenance question, so the catalog
+keeps them: each collected domain, each Q(D) with its driver-side
+:class:`AnswerIndex`, and each goal's projection is computed on first
+use and reused by every later question.
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import StructField
 
-from repro.core.ast import Program, Rule, Var
-from repro.engine.eval import evaluate
+from repro.core.ast import Atom, Program, Rule, Var
+from repro.engine.eval import atom_df, evaluate
 
 #: An attribute occurrence: (relation name, 0-based column position).
 Occurrence = tuple[str, int]
@@ -44,6 +45,26 @@ def collect_values(df: DataFrame) -> Values:
     return df.schema[0], tuple(r[0] for r in canonical_sort(df.collect()))
 
 
+class AnswerIndex:
+    """Q(D)'s answers (head tuples) on the driver, looked up by the values
+    at a set of head positions, as σ_t selects them."""
+
+    def __init__(self, rows: Iterable[Sequence]):
+        self._rows = [tuple(r) for r in rows]
+        self._groups: dict[tuple[int, ...], dict[tuple, list[tuple]]] = {}
+
+    def matching(self, bound: dict[int, object]) -> list[tuple]:
+        """The answers whose value at each position ``p`` of ``bound`` is
+        ``bound[p]``. The answers are grouped once per set of positions."""
+        positions = tuple(sorted(bound))
+        groups = self._groups.get(positions)
+        if groups is None:
+            groups = self._groups[positions] = {}
+            for row in self._rows:
+                groups.setdefault(tuple(row[p] for p in positions), []).append(row)
+        return groups.get(tuple(bound[p] for p in positions), [])
+
+
 class Catalog:
     """Registry of EDB relations (Spark DataFrames) and attribute domains."""
 
@@ -53,6 +74,8 @@ class Catalog:
         self._domain_overrides: dict[Occurrence, DataFrame] = {}
         self._domain_values: dict[Hashable, Values] = {}
         self._results: dict[Program, DataFrame] = {}
+        self._answers: dict[Program, AnswerIndex] = {}
+        self._goals: dict[Atom, DataFrame] = {}
 
     def relation_names(self) -> list[str]:
         return sorted(self._tables)
@@ -121,6 +144,31 @@ class Catalog:
         df = self._results.get(program)
         if df is None:
             df = self._results[program] = evaluate(self, program).persist()
+        return df
+
+    def answers(self, program: Program) -> AnswerIndex:
+        """Q(D)'s answers on the driver: collected from :meth:`result` on
+        first use (which also fills its cache), then reused."""
+        index = self._answers.get(program)
+        if index is None:
+            index = self._answers[program] = AnswerIndex(self.result(program).collect())
+        return index
+
+    def goal_projection(self, atom: Atom) -> DataFrame:
+        """The distinct bindings of ``atom``'s variables (:func:`atom_df` of
+        its positive form), persisted on first use, then reused.
+
+        Goal annotation asks for the *base* rule's atoms, which no question
+        changes, and applies a question's constants as filters on the
+        result, so one entry serves every question. The entry keeps one
+        partition per core: Spark does not coalesce a cached plan's
+        shuffle partitions, and every question scans them all.
+        """
+        key = Atom(atom.pred, atom.args)
+        df = self._goals.get(key)
+        if df is None:
+            cores = self.spark.sparkContext.defaultParallelism
+            df = self._goals[key] = atom_df(self, key).coalesce(cores).persist()
         return df
 
 

@@ -39,7 +39,8 @@ def atom_df(catalog: Catalog, atom: Atom) -> DataFrame:
 
     Constant arguments become filters; a variable repeated inside the
     atom becomes an intra-atom equality filter. The result has one
-    column per distinct variable of the atom (set semantics).
+    column per distinct variable of the atom (set semantics); a ground
+    atom has no column and one row iff its tuple exists.
     """
     df = catalog.df(atom.pred)
     cols = df.columns
@@ -59,8 +60,8 @@ def atom_df(catalog: Catalog, atom: Atom) -> DataFrame:
             first_col[arg.name] = cols[pos]
     for cond in conds:
         df = df.filter(cond)
-    if not first_col:  # ground atom: keep a marker row iff any row matches
-        return df.limit(1).select(F.lit(1).alias("__exists"))
+    if not first_col:
+        return df.limit(1).select()
     return df.select(
         *[F.col(col).alias(var) for var, col in first_col.items()]
     ).distinct()
@@ -80,16 +81,11 @@ def successful_derivations(catalog: Catalog, rule: Rule) -> DataFrame:
     acc: DataFrame | None = None
     for atom in positives:
         g = atom_df(catalog, atom)
-        if g.columns == ["__exists"]:
-            # ground positive goal: succeeds iff the tuple exists
-            if acc is None:
-                acc = _unit_df(catalog)
-            if not _nonempty_marker(g):
-                acc = acc.limit(0)
-            continue
         if acc is None:
             acc = g
         else:
+            # no shared variable (a ground goal included, whose relation
+            # has at most one row): a cross join
             shared = [c for c in g.columns if c in acc.columns]
             acc = acc.join(g, on=shared) if shared else acc.crossJoin(g)
     assert acc is not None
@@ -97,27 +93,16 @@ def successful_derivations(catalog: Catalog, rule: Rule) -> DataFrame:
         acc = acc.filter(comparison_column(c))
     for atom in rule.negative_body():
         g = atom_df(catalog, atom)
-        if g.columns == ["__exists"]:
-            # ground negated goal: rule dies iff the tuple exists
-            if g.limit(1).count() > 0:
-                acc = acc.limit(0)
-            continue
         shared = [c for c in g.columns if c in acc.columns]
         if len(shared) != len(g.columns):
             raise ValueError(
                 f"unsafe negation {atom.pred}: variables {set(g.columns) - set(shared)}"
             )
-        acc = acc.join(g, on=shared, how="left_anti")
-    ordered = [v.name for v in vars_in_order(rule)]
-    return acc.select(*ordered).distinct()
-
-
-def _unit_df(catalog: Catalog) -> DataFrame:
-    return catalog.spark.range(1).drop("id")
-
-
-def _nonempty_marker(df: DataFrame) -> bool:
-    return df.limit(1).count() > 0
+        # a ground goal joins on no column: the rule dies iff its tuple exists
+        acc = acc.join(g, on=shared or None, how="left_anti")
+    # every goal relation is a set, and joins, filters and anti-joins of
+    # sets over all the rule's variables are sets: no duplicate to drop
+    return acc.select(*[v.name for v in vars_in_order(rule)])
 
 
 def head_projection(deriv: DataFrame, rule: Rule) -> DataFrame:

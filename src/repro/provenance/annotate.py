@@ -2,9 +2,11 @@
 
 ``annotate_goals`` is the Spark rendering of Q_sample / Q_goals: a
 derivation DataFrame (one column per unbound variable) is left-outer
-joined with each body relation; the boolean goal column ``g{i}`` is T
+joined with each goal's relation; the boolean goal column ``g{i}`` is T
 iff a join partner exists (inverted for negated goals), exactly the
-``if (isnull(h_i)) then F else T`` projection of the paper.
+``if (isnull(h_i)) then F else T`` projection of the paper. The goal
+relations are the catalog's persisted projections of the base rule's
+goals (``Catalog.goal_projection``), so no question rebuilds them.
 
 ``anti_join_existing`` is Q_der: the anti-join that removes derivations
 of *existing* answers, keeping only why-not provenance.
@@ -17,12 +19,28 @@ from pyspark.sql import functions as F
 from repro.core.ast import Const, Var
 from repro.core.unify import UnifiedRule
 from repro.engine.catalog import Catalog
-from repro.engine.eval import atom_df
 
 
 def goal_column_names(n_goals: int) -> list[str]:
     """Boolean goal-annotation columns ``g1 … gm`` of annotated derivations."""
     return [f"g{i + 1}" for i in range(n_goals)]
+
+
+def goal_relation(catalog: Catalog, unified: UnifiedRule, i: int) -> DataFrame:
+    """The relation goal ``i`` (0-based) of ``unified`` is checked against:
+    the distinct bindings of the goal's unbound variables, one column each.
+
+    It is the catalog's projection of the *base* rule's goal, filtered by
+    the values the question binds and without those columns. A goal left
+    with no variable keeps at most one row: the tuple, if it exists.
+    """
+    base = unified.base.body[i]
+    proj = catalog.goal_projection(base)
+    for var in dict.fromkeys(base.vars()):
+        const = unified.binding.get(var)
+        if const is not None:
+            proj = proj.filter(F.col(var.name) == F.lit(const.value))
+    return proj.select(*[v.name for v in dict.fromkeys(unified.rule.body[i].vars())])
 
 
 def annotate_goals(
@@ -31,40 +49,29 @@ def annotate_goals(
     """Append goal annotations ``g1 … gm`` to a derivation DataFrame.
 
     ``deriv`` must have one column per unbound variable of ``unified``.
-    Relations are projected to the distinct bindings of the goal's
-    variables before the outer join, so duplicate join partners cannot
-    multiply derivation rows.
+    Each goal is a left-outer join with its :func:`goal_relation`, whose
+    rows are distinct, so a join partner is unique and derivation rows
+    are never multiplied; a ground goal is a join without a condition
+    against its at most one row. One final ``select`` turns the join
+    markers into the ``g_i`` columns.
     """
     out = deriv
+    goals: list[Column] = []
     for i, atom in enumerate(unified.rule.body):
-        gcol = f"g{i + 1}"
-        positive_atom = atom if not atom.negated else atom.__class__(
-            atom.pred, atom.args, negated=False
-        )
-        g = atom_df(catalog, positive_atom)
-        if g.columns == ["__exists"]:
-            exists = g.limit(1).count() > 0
-            success = exists if not atom.negated else not exists
-            out = out.withColumn(gcol, F.lit(success))
-            continue
+        g = goal_relation(catalog, unified, i)
         marker = f"__h{i + 1}"
         renamed = g.select(
             *[F.col(v).alias(f"__g{i + 1}_{v}") for v in g.columns],
-            F.lit(1).alias(marker),
+            F.lit(True).alias(marker),
         )
         cond: Column | None = None
         for v in g.columns:
             c = F.col(v) == F.col(f"__g{i + 1}_{v}")
             cond = c if cond is None else (cond & c)
-        assert cond is not None
         out = out.join(renamed, on=cond, how="left_outer")
-        success = F.col(marker).isNotNull()
-        if atom.negated:
-            success = ~success
-        out = out.withColumn(gcol, success)
-        out = out.drop(marker, *[f"__g{i + 1}_{v}" for v in g.columns])
-    var_cols = [v.name for v in unified.unbound]
-    return out.select(*var_cols, *goal_column_names(unified.n_goals))
+        found = F.col(marker).isNotNull()
+        goals.append((~found if atom.negated else found).alias(f"g{i + 1}"))
+    return out.select(*[v.name for v in unified.unbound], *goals)
 
 
 def filter_result_to_head(result: DataFrame, unified: UnifiedRule) -> Column | None:

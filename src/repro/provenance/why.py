@@ -23,9 +23,10 @@ def why_derivations(catalog: Catalog, unified: UnifiedRule) -> DataFrame:
     Columns: one per unbound variable, then ``g1 … gm`` (all True).
     """
     deriv = successful_derivations(catalog, unified.rule)
-    for g in goal_column_names(unified.n_goals):
-        deriv = deriv.withColumn(g, F.lit(True))
-    return deriv
+    return deriv.select(
+        *deriv.columns,
+        *[F.lit(True).alias(g) for g in goal_column_names(unified.n_goals)],
+    )
 
 
 def why_provenance(

@@ -102,7 +102,10 @@ def all_valuations(
     filtered by every comparison. One column per unbound variable."""
     acc: DataFrame | None = None
     for var in unified.unbound:
-        d = variable_domain(catalog, unified, var, domains)
+        # one partition per domain: a cross product has the product of its
+        # inputs' partition counts, and a domain Spark answers from a
+        # cached goal projection keeps that cache's partitions
+        d = variable_domain(catalog, unified, var, domains).coalesce(1)
         acc = d if acc is None else acc.crossJoin(d)
     if acc is None:  # fully bound rule: a single (empty) valuation
         acc = catalog.spark.range(1).drop("id")

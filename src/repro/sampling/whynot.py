@@ -7,39 +7,44 @@ Per unified rule r_t the pipeline is the paper's three-step query:
    samples into bindings.
 2. **Q_der** — anti-join with σ_t(Q(D)) to drop derivations of existing
    answers, after the θ_join filter.
-3. **Q_sample** — left-outer joins with the body relations to compute
+3. **Q_sample** — left-outer joins with the goal relations to compute
    goal annotations g1…gm, duplicate elimination, and a final uniform
    cut down to n_S derivations.
 
 Work that touches the database stays in Catalyst: the domains, Q(D),
-the anti-join and the goal annotation. The domains and Q(D) do not
-depend on the question, so the catalog computes them once and every
-question reuses them (``Catalog.domain_values``, ``Catalog.result``).
-The draws are made on the driver (``repro.sampling.ops``); the
-drawn bindings go back as one DataFrame, steps 1–3 run as one plan
-with one ``collect()``, and the n_S cut is drawn on the driver from the
-canonically sorted survivors. Every draw comes from one
-``numpy.random.Generator`` seeded with ``seed``, so the sample depends
-on (data, question, seed, n_S) alone, not on Spark's partitioning.
+the anti-join and the goal annotation. The domains, Q(D) and the goal
+relations do not depend on the question, so the catalog computes them
+once and every question reuses them (``Catalog.domain_values``,
+``Catalog.result``, ``Catalog.goal_projection``); σ_t's count for p_prov
+and the ground-head existence check read ``Catalog.answers``, Q(D)'s
+answers collected once to the driver. The draws are made on the driver
+(``repro.sampling.ops``) and deduplicated there, since a derivation's
+annotation is a function of its binding. Every rule's n_OS is thus known
+before Spark runs, and steps 1–3 of all rules of a UCQ run as one plan,
+tagged by rule, with one ``collect()``. Each rule's n_S cut is drawn on
+the driver from its canonically sorted survivors. A rule's draws come
+from one ``numpy.random.Generator`` seeded with its seed, so the sample
+depends on (data, question, seed, n_S) alone, not on Spark's
+partitioning.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import reduce
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 from pyspark.sql.types import BooleanType, StructField, StructType
 
-from repro.core.ast import Program, Var
+from repro.core.ast import Const, Program, Var
 from repro.core.unify import PTuple, UnifiedRule, unify_program
-from repro.engine.catalog import Catalog, canonical_sort
+from repro.engine.catalog import AnswerIndex, Catalog, canonical_sort
 from repro.engine.eval import comparison_column
 from repro.provenance.annotate import (
     annotate_goals,
     anti_join_existing,
-    filter_result_to_head,
     goal_column_names,
 )
 from repro.provenance.whynot_full import split_comparisons, variable_values
@@ -71,33 +76,49 @@ class RuleSample:
     def rule_id(self) -> str:
         return self.unified.rule_id
 
-    @cached_property
-    def sample(self) -> DataFrame:
-        """The rows as a local DataFrame, built on first read."""
-        return SparkSession.active().createDataFrame(self.rows, self.schema)
+
+def _existing_answers(
+    answers: AnswerIndex, unified: UnifiedRule, domains: dict[str, set]
+) -> int:
+    """How many existing answers a draw can hit: the answers σ_t selects
+    whose value for every head variable lies in that variable's domain
+    (one value per variable, where the head repeats it)."""
+    head = unified.rule.head.args
+    consts = {i: a.value for i, a in enumerate(head) if isinstance(a, Const)}
+    n = 0
+    for row in answers.matching(consts):
+        seen: dict[str, object] = {}
+        n += all(
+            row[i] in domains[a.name] and seen.setdefault(a.name, row[i]) == row[i]
+            for i, a in enumerate(head)
+            if isinstance(a, Var)
+        )
+    return n
 
 
-def sample_whynot_rule(
+@dataclass
+class _Draw:
+    """One rule's driver-side part of Q_bind: its statistics, its distinct
+    drawn bindings and the generator that draws its n_S cut later."""
+
+    sample: RuleSample  # rows and n_survivors are filled in after the collect
+    fields: list[StructField]
+    bindings: list[tuple]
+    rng: np.random.Generator
+
+
+def _draw(
     catalog: Catalog,
-    program: Program,
+    answers: AnswerIndex,
     unified: UnifiedRule,
     n_s: int,
-    p_success: float = 0.999,
-    seed: int = 0,
-    domains: dict[str, DataFrame] | None = None,
-    result: DataFrame | None = None,
-    max_n_os: int = 5_000_000,
-) -> RuleSample:
-    """Sample ≤ n_S annotated derivations from Whynot restricted to one rule.
-
-    A rule whose θ_X filters leave some variable with an empty domain
-    has no derivations, hence no why-not provenance: its sample is empty
-    and ``n_os`` is 0.
-    """
-    if result is None:
-        result = catalog.result(program)
-    spark = catalog.spark
-
+    p_success: float,
+    seed: int,
+    domains: dict[str, DataFrame] | None,
+    max_n_os: int,
+) -> _Draw | RuleSample:
+    """Domains, n_OS and the draws of one rule, all on the driver; a rule
+    with no why-not derivation comes back as its final, empty sample."""
     # --- variable domains, collected and sorted once per catalog ---
     fields: list[StructField] = []
     values: list[tuple] = []
@@ -109,21 +130,20 @@ def sample_whynot_rule(
     schema = StructType(fields + [StructField(g, BooleanType(), False) for g in goals])
     dom_sizes = {f.name: len(v) for f, v in zip(fields, values)}
     n_all = math.prod(dom_sizes.values())
-
-    def empty() -> RuleSample:
-        return RuleSample(unified, schema, [], n_s, 0, 0.0, n_all, 0.0, 0, False)
-
+    sample = RuleSample(unified, schema, [], n_s, 0, 0.0, n_all, 0.0, 0, False)
     if n_all == 0:
-        return empty()
+        return sample
 
-    # --- over-sampling size from p_prov (Sec. 5.3) ---
-    sigma = filter_result_to_head(result, unified)
-    matching = result.filter(sigma) if sigma is not None else result
-    n_existing = matching.count()
-    head_has_unbound = any(isinstance(a, Var) for a in unified.rule.head.args)
-    if not head_has_unbound and n_existing > 0:
+    # --- over-sampling size from p_prov (Sec. 5.3), σ_t from the index ---
+    head_vars = {a.name for a in unified.rule.head.args if isinstance(a, Var)}
+    n_existing = _existing_answers(
+        answers,
+        unified,
+        {f.name: set(v) for f, v in zip(fields, values) if f.name in head_vars},
+    )
+    if not head_vars and n_existing > 0:
         # the (single) head this rule can produce exists → Whynot is empty
-        return empty()
+        return sample
     p_prov = p_prov_estimate(unified, n_existing, dom_sizes)
     _, var_var = split_comparisons(unified)
     sel = comparison_selectivity(var_var)
@@ -132,42 +152,110 @@ def sample_whynot_rule(
     else:
         n_os = min_oversample_size(n_s, p_prov, p_success)
     n_os = min(max_n_os, max(n_s, int(n_os / max(sel, 1e-6)) + 1))
+    sample.n_os, sample.p_prov, sample.capped = n_os, p_prov, n_os == max_n_os
+    sample.est_whynot_size = p_prov * n_all * sel
 
-    # --- step 1: Q_X per variable, zipped into Q_bind ---
+    # --- step 1: Q_X per variable, zipped into Q_bind; a derivation's
+    # annotation depends on its binding alone, so duplicates are dropped
+    # here rather than by a Spark shuffle ---
     rng = np.random.default_rng(seed)
-    if fields:
-        picks = [sample_with_replacement(v, n_os, rng) for v in values]
-        bind = spark.createDataFrame(list(zip(*picks)), StructType(fields))
+    picks = [sample_with_replacement(v, n_os, rng) for v in values]
+    bindings = list(dict.fromkeys(zip(*picks))) if fields else [()]
+    return _Draw(sample, fields, bindings, rng)
+
+
+def _plan(catalog: Catalog, result: DataFrame, draw: _Draw) -> DataFrame:
+    """Steps 1–3 of one rule as a lazy plan over its drawn bindings."""
+    unified = draw.sample.unified
+    if draw.fields:
+        bind = catalog.spark.createDataFrame(draw.bindings, StructType(draw.fields))
     else:  # fully bound question: the single empty valuation
-        bind = spark.range(1).drop("id")
-    for c in var_var:
+        bind = catalog.spark.range(1).drop("id")
+    for c in split_comparisons(unified)[1]:
         bind = bind.filter(comparison_column(c))
-
     # --- step 2: Q_der — drop derivations of existing answers; with a
-    # ground head the count above already decided it (none exist) ---
-    der = anti_join_existing(bind, result, unified) if head_has_unbound else bind
+    # ground head the answer index already decided it (none exist) ---
+    if any(isinstance(a, Var) for a in unified.rule.head.args):
+        bind = anti_join_existing(bind, result, unified)
+    # --- step 3: Q_sample — goal annotations ---
+    return annotate_goals(catalog, unified, bind)
 
-    # --- step 3: Q_sample — goal annotations, set semantics, cut to n_S ---
-    annotated = annotate_goals(catalog, unified, der).distinct()
-    survivors = canonical_sort(annotated.collect())
-    if len(survivors) > n_s:
-        keep = np.sort(rng.choice(len(survivors), n_s, replace=False))
-        rows = [survivors[i] for i in keep]
-    else:
-        rows = survivors
 
-    return RuleSample(
-        unified=unified,
-        schema=schema,
-        rows=rows,
-        n_s=n_s,
-        n_os=n_os,
-        p_prov=p_prov,
-        n_all_derivations=n_all,
-        est_whynot_size=p_prov * n_all * sel,
-        n_survivors=len(survivors),
-        capped=n_os == max_n_os,
+def _collect_tagged(plans: list[DataFrame]) -> list[list[tuple]]:
+    """Every plan's rows from one ``collect()``: the plans' columns are
+    prefixed by their index ``i``, a column ``__rule`` = i tags each row,
+    and the plans are unioned by name. The tag, not a null, tells the
+    rows apart: None is a value a domain may hold."""
+    tagged = [
+        p.select(
+            F.lit(i).alias("__rule"),
+            *[F.col(c).alias(f"__r{i}_{c}") for c in p.columns],
+        )
+        for i, p in enumerate(plans)
+    ]
+    fused = reduce(lambda a, b: a.unionByName(b, allowMissingColumns=True), tagged)
+    pos = {c: j for j, c in enumerate(fused.columns)}
+    cols = [[pos[f"__r{i}_{c}"] for c in p.columns] for i, p in enumerate(plans)]
+    out: list[list[tuple]] = [[] for _ in plans]
+    for row in fused.collect():
+        i = row[0]
+        out[i].append(tuple(row[j] for j in cols[i]))
+    return out
+
+
+def _sample_rules(
+    catalog: Catalog,
+    program: Program,
+    rules: list[UnifiedRule],
+    seeds: list[int],
+    n_s: int,
+    p_success: float,
+    domains: dict[str, DataFrame] | None,
+    max_n_os: int,
+) -> list[RuleSample]:
+    """Sample every rule in ``rules``: all draws first, on the driver, so
+    every rule's n_OS is known before Spark runs; then one collected plan
+    for all rules; then each rule's n_S cut."""
+    answers = catalog.answers(program)
+    draws = [
+        _draw(catalog, answers, u, n_s, p_success, seed, domains, max_n_os)
+        for u, seed in zip(rules, seeds)
+    ]
+    pending = [d for d in draws if isinstance(d, _Draw)]
+    if pending:
+        result = catalog.result(program)
+        collected = _collect_tagged([_plan(catalog, result, d) for d in pending])
+        for d, rows in zip(pending, collected):
+            survivors = canonical_sort(rows)
+            if len(survivors) > n_s:
+                keep = np.sort(d.rng.choice(len(survivors), n_s, replace=False))
+                d.sample.rows = [survivors[i] for i in keep]
+            else:
+                d.sample.rows = survivors
+            d.sample.n_survivors = len(survivors)
+    return [d.sample if isinstance(d, _Draw) else d for d in draws]
+
+
+def sample_whynot_rule(
+    catalog: Catalog,
+    program: Program,
+    unified: UnifiedRule,
+    n_s: int,
+    p_success: float = 0.999,
+    seed: int = 0,
+    domains: dict[str, DataFrame] | None = None,
+    max_n_os: int = 5_000_000,
+) -> RuleSample:
+    """Sample ≤ n_S annotated derivations from Whynot restricted to one rule.
+
+    A rule whose θ_X filters leave some variable with an empty domain
+    has no derivations, hence no why-not provenance: its sample is empty
+    and ``n_os`` is 0.
+    """
+    (sample,) = _sample_rules(
+        catalog, program, [unified], [seed], n_s, p_success, domains, max_n_os
     )
+    return sample
 
 
 def sample_whynot(
@@ -182,23 +270,12 @@ def sample_whynot(
 ) -> list[RuleSample]:
     """Sample Whynot(Q, D, t): per-rule samples for every rule of the UCQ.
 
-    n_OS is determined separately per rule (end of Sec. 5.2); the final
-    top-k step merges the per-rule pattern sets.
+    n_OS is determined separately per rule (end of Sec. 5.2), rule ``i``
+    drawing from ``seed + 1000·i``; the rules' plans run as one Spark
+    action, and the final top-k step merges the per-rule pattern sets.
     """
-    result = catalog.result(program)
-    samples = []
-    for i, u in enumerate(unify_program(program, t)):
-        samples.append(
-            sample_whynot_rule(
-                catalog,
-                program,
-                u,
-                n_s,
-                p_success=p_success,
-                seed=seed + 1000 * i,
-                domains=domains,
-                result=result,
-                max_n_os=max_n_os,
-            )
-        )
-    return samples
+    rules = unify_program(program, t)
+    seeds = [seed + 1000 * i for i in range(len(rules))]
+    return _sample_rules(
+        catalog, program, rules, seeds, n_s, p_success, domains, max_n_os
+    )

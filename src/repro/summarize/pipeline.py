@@ -110,11 +110,15 @@ def _capture(
             # database), ordered by a seeded hash of the row, then the row:
             # unlike rand(seed), that order does not depend on how Spark
             # partitions the data. The observation counts every row on its
-            # way into the cut, so the same action yields |Why| too.
+            # way into the cut, so the same action yields |Why| too. It
+            # sits below a shuffle: where Spark knows there are at most n_S
+            # rows it drops the limit, sorts globally and samples the sort's
+            # input first, and that sample would run the observation again.
             seen = Observation()
             order = [F.col(c) for c in df.columns]
             cut = (
                 df.observe(seen, F.count(F.lit(1)).alias("n"))
+                .repartition(1)
                 .orderBy(F.xxhash64(F.lit(seed), *order), *order)
                 .limit(n_s)
             )

@@ -8,7 +8,9 @@ from repro.datasets.airbnb import airbnb_program, s_airbnb
 from repro.datasets.graph_r import graph_r, rex_program
 from repro.datasets.license import license_db, r1_program
 from repro.datasets.movies import movies, r4_program
+from repro.core.ast import parse_program
 from repro.engine.catalog import Catalog
+from repro.provenance.why import why_provenance
 from repro.summarize.pipeline import (
     pattern_inputs,
     select_topk,
@@ -138,6 +140,44 @@ class TestWhyPipeline:
             catalog, prog, parse_ptuple("InvalidD(C)"), k=2, n_s=20
         )
         assert s.per_rule[0]["n_sample"] <= 20
+
+
+class TestWhyCount:
+    """``n_survivors`` of a why question is |Why|, whatever n_S is: also
+    when Spark proves there are at most n_S derivations and drops the
+    cut's limit."""
+
+    @pytest.fixture(scope="class")
+    def license_1k(self, spark):
+        return Catalog(spark, license_db(spark, n=1000, seed=0)), r1_program()
+
+    @pytest.mark.parametrize(
+        "ptuple, n_s",
+        [
+            ("InvalidD('city_1')", 7),  # below |Why| = 8
+            ("InvalidD('city_1')", 8),  # equal
+            ("InvalidD('city_1')", 9),  # above
+            ("InvalidD('city_1')", 1000),
+            ("InvalidD(C)", 1000),
+        ],
+    )
+    def test_n_survivors_is_why_count(self, license_1k, ptuple, n_s):
+        catalog, prog = license_1k
+        t = parse_ptuple(ptuple)
+        ((_, df),) = why_provenance(catalog, prog, t)
+        s = summarize_why(catalog, prog, t, k=3, n_s=n_s, seed=0)
+        (stats,) = s.per_rule
+        assert stats["n_survivors"] == df.count()
+        assert stats["n_sample"] == min(n_s, df.count())
+
+    def test_limit_dropped_with_exactly_n_s_derivations(self, spark):
+        # five derivations over a five-row local relation: Spark knows
+        # there are at most n_S = 5 rows and drops the limit
+        tables = {"R": spark.createDataFrame(pd.DataFrame({"a": range(5), "b": range(5)}))}
+        prog = parse_program("Q(X, Y) :- R(X, Y).")
+        s = summarize_why(Catalog(spark, tables), prog, parse_ptuple("Q(X, Y)"), n_s=5)
+        (stats,) = s.per_rule
+        assert stats["n_survivors"] == stats["n_sample"] == 5
 
 
 class TestMultiRule:

@@ -1,18 +1,25 @@
 """Tests for the batch why-not sampling pipeline (Sec. 5)."""
+import time
+
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.ast import Var
+from repro.core.ast import Var, parse_program
 from repro.core.unify import WHY, WHYNOT, PQuestion, parse_ptuple, unify_rule
 from repro.datasets.airbnb import airbnb_program, s_airbnb
 from repro.datasets.graph_r import graph_r, rex_program
 from repro.datasets.license import license_db, r1_program, r2_program
 from repro.engine.catalog import Catalog, canonical_sort
-from repro.provenance.whynot_full import variable_values
+from repro.provenance.whynot_full import variable_values, whynot_full
 from repro.sampling.ops import sample_with_replacement
 from repro.sampling.whynot import sample_whynot, sample_whynot_rule
 from repro.summarize.pipeline import summarize
+
+
+def _records(rs):
+    """A RuleSample's rows as dicts keyed by its schema's column names."""
+    return [dict(zip(rs.schema.names, r)) for r in rs.rows]
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +77,7 @@ class TestSampleWhynot:
         rs = sample_whynot_rule(
             catalog, prog, u, n_s=30, seed=0, domains=domains
         )
-        rows = {(r["X"], r["Z"], r["g1"], r["g2"]) for r in rs.sample.collect()}
+        rows = {(r["X"], r["Z"], r["g1"], r["g2"]) for r in _records(rs)}
         assert rows  # non-empty
         from repro.provenance.whynot_full import whynot_full
 
@@ -90,7 +97,7 @@ class TestSampleWhynot:
         rs = sample_whynot_rule(
             catalog, prog, u, n_s=500, seed=1, domains=domains
         )
-        assert rs.sample.count() == 12
+        assert len(rs.rows) == 12
 
     def test_predicate_respected(self, rex):
         catalog, prog, domains = rex
@@ -98,7 +105,7 @@ class TestSampleWhynot:
         rs = sample_whynot_rule(
             catalog, prog, u, n_s=50, seed=2, domains=domains
         )
-        assert all(r["X"] < 4 for r in rs.sample.collect())
+        assert all(r["X"] < 4 for r in _records(rs))
 
     def test_no_existing_answer_heads(self, rex):
         catalog, prog, domains = rex
@@ -106,7 +113,7 @@ class TestSampleWhynot:
         rs = sample_whynot_rule(
             catalog, prog, u, n_s=50, seed=3, domains=domains
         )
-        assert all(r["X"] != 1 for r in rs.sample.collect())
+        assert all(r["X"] != 1 for r in _records(rs))
 
     def test_p_prov_and_n_os(self, rex):
         catalog, prog, domains = rex
@@ -127,8 +134,8 @@ class TestSampleWhynot:
         assert len(samples) == 1
         rs = samples[0]
         assert rs.p_prov == 1.0  # no existing shared answers
-        assert 0 < rs.sample.count() <= 100
-        cols = set(rs.sample.columns)
+        assert 0 < len(rs.rows) <= 100
+        cols = set(rs.schema.names)
         assert cols == {"N", "I", "T", "E", "P", "g1", "g2"}
 
     def test_airbnb_annotations_consistent(self, airbnb):
@@ -145,15 +152,15 @@ class TestSampleWhynot:
         samples = sample_whynot(
             catalog, prog, parse_ptuple("AL(N, shared)"), n_s=50, seed=4
         )
-        for r in samples[0].sample.collect():
+        for r in _records(samples[0]):
             key = (r["N"], r["I"], r["T"], r["E"], r["P"])
             assert full[key] == (r["g1"], r["g2"])
 
     def test_deterministic_given_seed(self, airbnb):
         catalog, prog = airbnb
         t = parse_ptuple("AL(N, shared)")
-        a = sample_whynot(catalog, prog, t, n_s=20, seed=9)[0].sample.collect()
-        b = sample_whynot(catalog, prog, t, n_s=20, seed=9)[0].sample.collect()
+        a = sample_whynot(catalog, prog, t, n_s=20, seed=9)[0].rows
+        b = sample_whynot(catalog, prog, t, n_s=20, seed=9)[0].rows
         assert sorted(map(tuple, a)) == sorted(map(tuple, b))
 
     def test_sampling_is_roughly_uniform(self, rex):
@@ -166,7 +173,7 @@ class TestSampleWhynot:
             rs = sample_whynot_rule(
                 catalog, prog, u, n_s=4, seed=seed * 13, domains=domains
             )
-            for r in rs.sample.collect():
+            for r in _records(rs):
                 counts[(r["X"], r["Z"])] = counts.get((r["X"], r["Z"]), 0) + 1
         assert len(counts) >= 9  # most derivations were seen at least once
 
@@ -180,8 +187,8 @@ class TestSampleWhynot:
             catalog, prog, u, n_s=10, seed=0, domains={**domains, "X": high}
         )
         assert rs.n_os == 0 and rs.n_survivors == 0
-        assert rs.sample.count() == 0
-        assert rs.sample.columns == ["X", "Z", "g1", "g2"]
+        assert len(rs.rows) == 0
+        assert rs.schema.names == ["X", "Z", "g1", "g2"]
         s = summarize(
             catalog, prog, PQuestion(parse_ptuple("Qex(X, 4)"), WHYNOT),
             k=3, n_s=10, domains={**domains, "X": high},
@@ -196,7 +203,7 @@ class TestSampleWhynot:
         )
         assert rs.n_os == 5 and rs.capped
         assert 0 < rs.n_survivors < 10
-        assert rs.sample.count() == rs.n_survivors
+        assert len(rs.rows) == rs.n_survivors
         s = summarize(
             catalog, prog, PQuestion(parse_ptuple("Qex(X, 4)"), WHYNOT),
             k=1, n_s=10, domains=domains, max_n_os=5,
@@ -211,7 +218,7 @@ class TestSampleWhynot:
             catalog, prog, u, n_s=5, seed=0, domains=domains
         )
         assert not rs.capped
-        assert rs.sample.count() == 5 < rs.n_survivors <= 12
+        assert len(rs.rows) == 5 < rs.n_survivors <= 12
 
     def test_rows_are_the_sample(self, rex):
         catalog, prog, domains = rex
@@ -220,7 +227,26 @@ class TestSampleWhynot:
             catalog, prog, u, n_s=5, seed=0, domains=domains
         )
         assert len(rs.rows) == 5
-        assert sorted(tuple(r) for r in rs.sample.collect()) == sorted(rs.rows)
+        assert all(len(r) == len(rs.schema) for r in rs.rows)
+        assert all(isinstance(g, bool) for r in rs.rows for g in r[2:])
+
+
+    def test_p_prov_counts_only_answers_in_the_domain(self, rex, spark):
+        # the existing answer Qex(1, 4) lies outside X's domain {3}: no
+        # draw can hit it, so every drawn derivation survives Q_der
+        catalog, prog, domains = rex
+        three = spark.createDataFrame(pd.DataFrame({"v": [3]}))
+        u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
+        sample_whynot_rule(catalog, prog, u, n_s=10, domains=domains)  # warm
+        t0 = time.perf_counter()
+        rs = sample_whynot_rule(
+            catalog, prog, u, n_s=10, seed=0, domains={**domains, "X": three}
+        )
+        assert time.perf_counter() - t0 < 15
+        assert rs.p_prov == 1.0
+        assert not rs.capped and rs.n_os <= 20
+        assert {r[0] for r in rs.rows} == {3}
+        assert 0 < rs.n_survivors == len(rs.rows) <= 6  # 6 values of Z
 
 
 class TestPartitioningInvariance:
@@ -235,8 +261,7 @@ class TestPartitioningInvariance:
         catalog = Catalog(spark, tables)
         t = parse_ptuple(TestPartitioningInvariance.T)
         rows = sorted(
-            tuple(r) for r in sample_whynot(catalog, prog, t, n_s=30, seed=5)[0]
-            .sample.collect()
+            sample_whynot(catalog, prog, t, n_s=30, seed=5)[0].rows
         )
         s = summarize(
             catalog, prog, PQuestion(t, WHYNOT), k=3, n_s=30, seed=5
@@ -298,6 +323,34 @@ def _jobs_of(spark, fn):
     j0 = last()
     out = fn()
     return out, last() - j0
+
+
+def _actions_of(monkeypatch, spark, fn):
+    """fn()'s result and the number of DataFrame actions it ran (an
+    action that calls another, like ``first`` → ``take``, counts once)."""
+    cls = type(spark.range(1))
+    calls = []
+
+    def counted(orig):
+        def action(df, *args, **kwargs):
+            if calls and calls[-1] is None:  # inside another action
+                return orig(df, *args, **kwargs)
+            calls.append(None)
+            try:
+                return orig(df, *args, **kwargs)
+            finally:
+                calls[-1] = orig.__name__
+
+        return action
+
+    with monkeypatch.context() as m:
+        for name in ("collect", "count", "take", "head", "first", "tail",
+                     "isEmpty", "toPandas", "toArrow", "toLocalIterator",
+                     "foreach", "foreachPartition", "show"):
+            if name in vars(cls):
+                m.setattr(cls, name, counted(vars(cls)[name]))
+        out = fn()
+    return out, calls
 
 
 def _summary_key(s):
@@ -384,3 +437,106 @@ class TestCatalogReuse:
         assert xs() == own
         fresh = sample_whynot_rule(Catalog(spark, graph_r(spark)), prog, u, n_s=50)
         assert {r[0] for r in fresh.rows} == own
+
+
+#: A tiny database for unions. Q(D) = {Q(1), Q(3)}, both from rule 1.
+_UNION_DB = {
+    "R": pd.DataFrame({"a": [1, 2, 3], "b": [1, 2, 3]}),
+    "S": pd.DataFrame({"a": [2]}),
+    "T": pd.DataFrame({"a": [1, 4]}),
+}
+_UNION_RULES = (
+    "Q(X) :- R(X, Y), not S(Y).",
+    "Q(X) :- T(X), S(X).",
+    "Q(X) :- T(X), not S(2).",  # S(2) exists: the ground negated goal fails
+)
+
+
+class TestOneAction:
+    """A why-not question on a warm catalog is one Spark action, however
+    many rules its query has; a why question is one action too."""
+
+    def test_warm_r1_whynot(self, spark, monkeypatch):
+        catalog = Catalog(spark, license_db(spark, n=300, seed=0))
+        prog = r1_program()
+
+        def ask(city, seed):
+            q = PQuestion(parse_ptuple(f"InvalidD('{city}')"), WHYNOT)
+            return summarize(catalog, prog, q, k=3, n_s=50, seed=seed)
+
+        ask("city_0", 1)
+        s, actions = _actions_of(monkeypatch, spark, lambda: ask("city_7", 2))
+        assert s.patterns
+        assert actions == ["collect"]
+
+    def test_r1_why(self, spark, monkeypatch):
+        catalog = Catalog(spark, license_db(spark, n=300, seed=0))
+        q = PQuestion(parse_ptuple("InvalidD(C)"), WHY)
+        s, actions = _actions_of(
+            monkeypatch, spark,
+            lambda: summarize(catalog, r1_program(), q, k=3, n_s=40, seed=3),
+        )
+        assert s.patterns
+        assert actions == ["collect"]
+
+    def test_why_with_ground_goals(self, spark, monkeypatch):
+        # S(2) exists and S(5) does not: both ground goals hold
+        catalog = Catalog(
+            spark, {k: spark.createDataFrame(v) for k, v in _UNION_DB.items()}
+        )
+        prog = parse_program("Q(X) :- T(X), S(2), not S(5).")
+        q = PQuestion(parse_ptuple("Q(X)"), WHY)
+        s, actions = _actions_of(
+            monkeypatch, spark, lambda: summarize(catalog, prog, q, k=1, n_s=10)
+        )
+        assert actions == ["collect"]
+        assert s.per_rule[0]["n_survivors"] == 2  # X = 1 and X = 4
+
+    @pytest.mark.parametrize("n_rules", [2, 3])
+    def test_union_matches_full(self, spark, monkeypatch, n_rules):
+        catalog = Catalog(
+            spark, {k: spark.createDataFrame(v) for k, v in _UNION_DB.items()}
+        )
+        prog = parse_program(*_UNION_RULES[:n_rules])
+        t = parse_ptuple("Q(X)")
+        sample_whynot(catalog, prog, t, n_s=5, seed=1)  # warm
+        samples, actions = _actions_of(
+            monkeypatch, spark, lambda: sample_whynot(catalog, prog, t, n_s=50)
+        )
+        assert actions == ["collect"]
+        full = {u.rule_id: {tuple(r) for r in df.collect()}
+                for u, df in whynot_full(catalog, prog, t)}
+        assert {rs.rule_id: set(rs.rows) for rs in samples} == full
+        assert full["r"] == {(2, 1, False, True), (2, 2, True, False),
+                             (2, 3, False, True)}
+        if n_rules == 3:
+            assert full["r_3"] == {(4, True, False)}
+
+
+class TestEdgeCases:
+    def test_fully_bound_existing_answer_gives_empty_summary(
+        self, rex, spark, monkeypatch
+    ):
+        # Qex(1, 4) exists: Whynot is empty. Once the catalog holds Q(D)
+        # and Z's domain, that is decided without a Spark action.
+        catalog, prog, _ = rex
+        q = PQuestion(parse_ptuple("Qex(1, 4)"), WHYNOT)
+        summarize(catalog, prog, PQuestion(parse_ptuple("Qex(X, 4)"), WHYNOT),
+                  n_s=5)  # warm
+        s, actions = _actions_of(
+            monkeypatch, spark, lambda: summarize(catalog, prog, q, k=3, n_s=10)
+        )
+        assert s.patterns == () and s.per_rule == [] and s.score == 0.0
+        assert actions == []
+
+    def test_ground_negated_goal_that_holds_gives_empty_sample(self, spark):
+        # ¬S(5) holds, and every X in R's domain has its answer via Y = X:
+        # every derivation derives an existing answer
+        catalog = Catalog(
+            spark, {k: spark.createDataFrame(v) for k, v in _UNION_DB.items()}
+        )
+        prog = parse_program("Q(X) :- R(X, Y), not S(5).")
+        (rs,) = sample_whynot(catalog, prog, parse_ptuple("Q(X)"), n_s=20)
+        assert rs.n_os > 0 and rs.rows == [] and rs.n_survivors == 0
+        ((_, full),) = whynot_full(catalog, prog, parse_ptuple("Q(X)"))
+        assert full.count() == 0
