@@ -54,11 +54,6 @@ def license_db(
     }
 
 
-def missing_city(n_cities: int = 40) -> str:
-    """A city guaranteed to be a missing InvalidD answer (all valid)."""
-    return "city_0"
-
-
 def existing_city(db: dict[str, DataFrame]) -> str:
     """Some city present in the InvalidD answers (for why questions)."""
     row = (

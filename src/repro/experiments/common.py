@@ -5,8 +5,7 @@ from typing import Sequence
 
 from repro.core.ast import Const, Program
 from repro.core.unify import PTuple, unify_program
-from repro.engine.catalog import Catalog
-from repro.engine.eval import evaluate
+from repro.engine.catalog import Catalog, canonical_sort
 from repro.provenance.whynot_full import variable_values
 
 
@@ -14,14 +13,15 @@ def bind_first_answer(
     catalog: Catalog, program: Program, template: PTuple, positions: Sequence[int]
 ) -> PTuple:
     """Fill ``positions`` of a p-tuple template with the corresponding
-    head values of the first existing answer (for Why questions)."""
-    rows = evaluate(catalog, program).limit(1).collect()
-    if not rows:
+    head values of the canonically smallest existing answer (for Why
+    questions). The answers are the catalog's driver-side copy of Q(D),
+    so the choice does not depend on how Spark partitions them."""
+    answers = canonical_sort(catalog.answers(program).matching({}))
+    if not answers:
         raise ValueError("query has no answers to bind a why question to")
-    row = rows[0]
     args = list(template.args)
     for i in positions:
-        args[i] = Const(row[f"h{i}"])
+        args[i] = Const(answers[0][i])
     return PTuple(template.pred, tuple(args))
 
 

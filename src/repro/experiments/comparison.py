@@ -85,7 +85,7 @@ def run_single_derivation_comparison(
     for n in sizes:
         db = spec.build_db(spark, n, seed)
         catalog = Catalog(spark, db)
-        t = spec.whynot_ptuple(catalog, program)
+        t = spec.ptuple(catalog, program, WHYNOT)
         t0 = time.perf_counter()
         d = single_derivation(catalog, program, t, seed=seed)
         t_single = time.perf_counter() - t0

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from repro.core.unify import WHY, WHYNOT, PQuestion
+from repro.core.unify import PQuestion
 from repro.engine.catalog import Catalog
 from repro.experiments.queries import QUERIES
 from repro.summarize.pipeline import summarize
@@ -26,11 +26,7 @@ def run_completeness(
         db = spec.build_db(spark, n, seed)
         catalog = Catalog(spark, db)
         program = spec.program()
-        t = (
-            spec.why_ptuple(catalog, program)
-            if qtype == WHY
-            else spec.whynot_ptuple(catalog, program)
-        )
+        t = spec.ptuple(catalog, program, qtype)
         question = PQuestion(t, qtype)
         for k in ks:
             s = summarize(catalog, program, question, k=k, n_s=n_s, seed=seed)

@@ -38,11 +38,7 @@ def run_perf_scaling(
         db = spec.build_db(spark, n, seed)
         catalog = Catalog(spark, db)
         program = spec.program()
-        t = (
-            spec.why_ptuple(catalog, program)
-            if qtype == WHY
-            else spec.whynot_ptuple(catalog, program)
-        )
+        t = spec.ptuple(catalog, program, qtype)
         question = PQuestion(t, qtype)
         prov_size = (
             whynot_space(catalog, program, t) if qtype == WHYNOT else None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from repro.core.unify import WHY, WHYNOT, PQuestion
+from repro.core.unify import WHY, PQuestion
 from repro.engine.catalog import Catalog
 from repro.experiments.queries import QUERIES
 from repro.summarize.metrics import harmonic, info_of_set
@@ -46,10 +46,8 @@ def run_quality_error(
         t = PTuple(
             head.pred, tuple(Var(f"P{i}") for i in range(head.arity))
         )
-    elif qtype == WHY:
-        t = spec.why_ptuple(catalog, program)
     else:
-        t = spec.whynot_ptuple(catalog, program)
+        t = spec.ptuple(catalog, program, qtype)
     question = PQuestion(t, qtype)
 
     # reference store: FULL provenance for why, largest sample for why-not

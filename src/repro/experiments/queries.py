@@ -15,7 +15,7 @@ from typing import Callable
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.ast import Program
-from repro.core.unify import PTuple, parse_ptuple
+from repro.core.unify import WHY, PTuple, parse_ptuple
 import repro.datasets.crimes as crimes_mod  # noqa: I001
 import repro.datasets.dblp as dblp_mod
 import repro.datasets.license as license_mod
@@ -37,31 +37,27 @@ from repro.experiments.common import bind_first_answer
 
 @dataclass
 class QuerySpec:
-    """One evaluation query: dataset builder, program, and PQ bindings."""
+    """One evaluation query: dataset builder, program, and PQ bindings.
+
+    ``why`` and ``whynot`` are the question p-tuples; the why question's
+    placeholders at ``why_bind`` are bound to an existing answer.
+    """
 
     name: str
     build_db: Callable[[SparkSession, int, int], dict[str, DataFrame]]
     program: Callable[[], Program]
-    why_ptuple: Callable[[Catalog, Program], PTuple]
-    whynot_ptuple: Callable[[Catalog, Program], PTuple]
+    why: str
+    whynot: str
+    why_bind: tuple[int, ...] = ()
 
-
-def _first_answer(template: str, positions: list[int]):
-    t = parse_ptuple(template)
-
-    def f(catalog: Catalog, program: Program) -> PTuple:
-        return bind_first_answer(catalog, program, t, positions)
-
-    return f
-
-
-def _static(template: str):
-    t = parse_ptuple(template)
-
-    def f(catalog: Catalog, program: Program) -> PTuple:
-        return t
-
-    return f
+    def ptuple(self, catalog: Catalog, program: Program, qtype: str) -> PTuple:
+        """The p-tuple of this query's ``qtype`` question on ``catalog``."""
+        if qtype == WHY:
+            t = parse_ptuple(self.why)
+            if self.why_bind:
+                t = bind_first_answer(catalog, program, t, self.why_bind)
+            return t
+        return parse_ptuple(self.whynot)
 
 
 def _movies_db(spark: SparkSession, n: int, seed: int) -> dict[str, DataFrame]:
@@ -74,50 +70,55 @@ QUERIES: dict[str, QuerySpec] = {
         name="r1",
         build_db=lambda s, n, seed: license_mod.license_db(s, n=n, seed=seed),
         program=license_mod.r1_program,
-        why_ptuple=_first_answer("InvalidD(C)", [0]),
-        whynot_ptuple=_static("InvalidD('city_0')"),
+        why="InvalidD(C)",
+        whynot="InvalidD('city_0')",
+        why_bind=(0,),
     ),
     "r2": QuerySpec(
         name="r2",
         build_db=lambda s, n, seed: license_mod.license_db(s, n=n, seed=seed),
         program=license_mod.r2_program,
-        why_ptuple=_first_answer("Fsenior(C)", [0]),
-        whynot_ptuple=_static("Fsenior('no_such_city')"),
+        why="Fsenior(C)",
+        whynot="Fsenior('no_such_city')",
+        why_bind=(0,),
     ),
     "r3": QuerySpec(
         name="r3",
         build_db=_movies_db,
         program=movies_mod.r3_program,
-        why_ptuple=_static("CasualWatch(T, 'drama', N)"),
-        whynot_ptuple=_static("CasualWatch(T, 'family', N)"),
+        why="CasualWatch(T, 'drama', N)",
+        whynot="CasualWatch(T, 'family', N)",
     ),
     "r4": QuerySpec(
         name="r4",
         build_db=_movies_db,
         program=movies_mod.r4_program,
-        why_ptuple=_static("Players('jack black')"),
-        whynot_ptuple=_static("Players('tom ford')"),
+        why="Players('jack black')",
+        whynot="Players('tom ford')",
     ),
     "r5": QuerySpec(
         name="r5",
         build_db=lambda s, n, seed: crimes_mod.crimes(s, n=n, seed=seed),
         program=crimes_mod.r5_program,
-        why_ptuple=_first_answer("CommCrime(T)", [0]),
-        whynot_ptuple=_static("CommCrime('ritualism')"),
+        why="CommCrime(T)",
+        whynot="CommCrime('ritualism')",
+        why_bind=(0,),
     ),
     "r6": QuerySpec(
         name="r6",
         build_db=lambda s, n, seed: crimes_mod.crimes(s, n=n, seed=seed),
         program=crimes_mod.r6_program,
-        why_ptuple=_first_answer("CrimeSince(T)", [0]),
-        whynot_ptuple=_static("CrimeSince('ritualism')"),
+        why="CrimeSince(T)",
+        whynot="CrimeSince('ritualism')",
+        why_bind=(0,),
     ),
     "r9": QuerySpec(
         name="r9",
         build_db=lambda s, n, seed: dblp_mod.dblp(s, n_edges=n, seed=seed),
         program=lambda: dblp_mod.hops_rule(2),
-        why_ptuple=_first_answer("Hops(L)", [0]),
-        whynot_ptuple=_static("Hops('xueni pan')"),
+        why="Hops(L)",
+        whynot="Hops('xueni pan')",
+        why_bind=(0,),
     ),
     "r10": QuerySpec(
         name="r10",
@@ -125,21 +126,22 @@ QUERIES: dict[str, QuerySpec] = {
             s, sf=n / 1_500_000, seed=seed
         ),
         program=tpch_mod.r10_program,
-        why_ptuple=_first_answer("Custs(CK, NK)", [0, 1]),
-        whynot_ptuple=_static("Custs(-1, NK)"),
+        why="Custs(CK, NK)",
+        whynot="Custs(-1, NK)",
+        why_bind=(0, 1),
     ),
     "r11": QuerySpec(
         name="r11",
         build_db=_movies_db,
         program=movies_mod.r11_program,
-        why_ptuple=_static("DirGen('crew_0')"),
-        whynot_ptuple=_static("DirGen('robert altman')"),
+        why="DirGen('crew_0')",
+        whynot="DirGen('robert altman')",
     ),
     "r12": QuerySpec(
         name="r12",
         build_db=_movies_db,
         program=movies_mod.r12_program,
-        why_ptuple=_static("TomKey(T, 'mission', E)"),
-        whynot_ptuple=_static("TomKey(T, 'spying', E)"),
+        why="TomKey(T, 'mission', E)",
+        whynot="TomKey(T, 'spying', E)",
     ),
 }

@@ -13,7 +13,6 @@ from repro.datasets.dblp import dblp, hops_rule
 from repro.datasets.synthetic_joins import chain_db, chain_query, star_db, star_query
 from repro.datasets.tpch import R10_BINDABLE, r10_program, sample_constants, tpch_db
 from repro.engine.catalog import Catalog
-from repro.engine.eval import evaluate
 from repro.experiments.common import whynot_space
 from repro.summarize.pipeline import summarize
 
@@ -21,9 +20,7 @@ from repro.summarize.pipeline import summarize
 def _missing_head_value(catalog: Catalog, program, domain: int) -> int:
     """A head value with no derivation succeeding: any value not in the
     query answers (why-not questions need a missing answer)."""
-    existing = {
-        r["h0"] for r in evaluate(catalog, program).select("h0").collect()
-    }
+    existing = {r[0] for r in catalog.answers(program).matching({})}
     for v in range(domain):
         if v not in existing:
             return v

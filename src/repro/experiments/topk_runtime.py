@@ -6,7 +6,7 @@ import time
 
 from pyspark.sql import SparkSession
 
-from repro.core.unify import WHY, WHYNOT, PQuestion
+from repro.core.unify import PQuestion
 from repro.engine.catalog import Catalog
 from repro.experiments.queries import QUERIES
 from repro.summarize.pipeline import pattern_inputs, select_topk
@@ -26,11 +26,7 @@ def run_topk_runtime(
     db = spec.build_db(spark, n, seed)
     catalog = Catalog(spark, db)
     program = spec.program()
-    t = (
-        spec.why_ptuple(catalog, program)
-        if qtype == WHY
-        else spec.whynot_ptuple(catalog, program)
-    )
+    t = spec.ptuple(catalog, program, qtype)
     inputs = pattern_inputs(
         catalog, program, PQuestion(t, qtype), n_s=n_s, seed=seed
     )

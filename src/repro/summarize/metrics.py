@@ -106,6 +106,7 @@ class SampleStore:
         self.rules[rule_id] = _RuleRows.encode(rows, weight)
 
     def normalize_weights(self) -> None:
+        """Scale the rules' raw weights (their shares of |PROV(Φ)|) to sum to 1."""
         total = sum(r.weight for r in self.rules.values())
         if total > 0:
             for r in self.rules.values():

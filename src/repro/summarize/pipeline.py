@@ -47,8 +47,6 @@ class Summary:
     n_s: int
     patterns: tuple[Pattern, ...]
     n_candidates: int
-    score_lb: float
-    score_ub: float
     completeness: float
     informativeness: float
     score: float
@@ -199,12 +197,9 @@ def pattern_inputs(
         use_full, max_n_os, max_full_derivations,
     )
     store = SampleStore()
-    total_weight = sum(raw_weight for _, _, raw_weight, _ in captured)
     for u, rows, raw_weight, _ in captured:
-        weight = (
-            raw_weight / total_weight if total_weight > 0 else 1.0 / len(captured)
-        )
-        store.add_rule(u.rule_id, rows, weight)
+        store.add_rule(u.rule_id, rows, raw_weight)
+    store.normalize_weights()
     timings["sample"] = time.perf_counter() - t0
 
     # --- phase 2: pattern candidate generation (LCA) ---
@@ -297,7 +292,7 @@ def summarize(
         timings["topk"] = 0.0
         timings["total"] = time.perf_counter() - t_start
         return Summary(
-            question, k, n_s, (), 0, 0.0, 0.0, 0.0, 0.0, 0.0, True, timings,
+            question, k, n_s, (), 0, 0.0, 0.0, 0.0, True, timings,
             inputs.per_rule, store,
         )
 
@@ -317,8 +312,6 @@ def summarize(
         n_s=n_s,
         patterns=result.patterns,
         n_candidates=inputs.n_candidates,
-        score_lb=result.score_lb,
-        score_ub=result.score_ub,
         completeness=completeness,
         informativeness=informativeness,
         score=harmonic(completeness, informativeness),

@@ -44,8 +44,7 @@ class SearchResult:
     """Outcome of a top-k search."""
 
     patterns: tuple[Pattern, ...]
-    score_lb: float
-    score_ub: float
+    score: float
     proved_optimal: bool
     pops: int
 
@@ -116,7 +115,7 @@ def topk_bestfirst(
     n = len(pats)
     if n <= k:
         s = sets.score(range(n))
-        return SearchResult(tuple(pats), s, s, True, 0)
+        return SearchResult(tuple(pats), s, True, 0)
 
     # top_info[i, m]: sum of the m largest informativeness values in pats[i:]
     top_info = np.zeros((n + 1, k + 1))
@@ -175,7 +174,7 @@ def topk_bestfirst(
     else:
         proved = not heap  # queue drained: the incumbent dominates everything
 
-    return SearchResult(tuple(pats[i] for i in best), best_sc, best_sc, proved, pops)
+    return SearchResult(tuple(pats[i] for i in best), best_sc, proved, pops)
 
 
 def topk_greedy(
@@ -185,9 +184,9 @@ def topk_greedy(
     score of the set so far — the search's seed."""
     pats = sorted(patterns, key=rank_key)
     if not pats:
-        return SearchResult((), 0.0, 0.0, False, 0)
+        return SearchResult((), 0.0, False, 0)
     chosen, sc = _Sets(pats, store).greedy(min(k, len(pats)), ())
-    return SearchResult(tuple(pats[i] for i in chosen), sc, sc, False, 0)
+    return SearchResult(tuple(pats[i] for i in chosen), sc, False, 0)
 
 
 def topk_exact(
@@ -203,4 +202,4 @@ def topk_exact(
         if s > best_score:
             best, best_score = combo, s
     assert best is not None
-    return SearchResult(best, best_score, best_score, True, 0)
+    return SearchResult(best, best_score, True, 0)

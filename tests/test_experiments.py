@@ -1,8 +1,16 @@
 """Smoke tests of the experiment harnesses (tiny scales) — every
 table-reproduction entry point must produce well-formed rows."""
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
+from repro.core.ast import Const
 from repro.core.unify import WHY, WHYNOT
+from repro.engine.catalog import Catalog
+from repro.engine.eval import evaluate
+from repro.experiments.__main__ import parser, run
 from repro.experiments.common import format_rows, whynot_space
 from repro.experiments.comparison import (
     run_artemis_comparison,
@@ -31,13 +39,29 @@ class TestRegistry:
     def test_bindings_resolve(self, spark, name):
         spec = QUERIES[name]
         db = spec.build_db(spark, 400, 0)
-        from repro.engine.catalog import Catalog
-
         catalog = Catalog(spark, db)
         prog = spec.program()
-        why = spec.why_ptuple(catalog, prog)
-        whynot = spec.whynot_ptuple(catalog, prog)
+        why = spec.ptuple(catalog, prog, WHY)
+        whynot = spec.ptuple(catalog, prog, WHYNOT)
         assert why.pred == whynot.pred == prog.head_pred
+
+    @pytest.mark.parametrize("name", ["r1", "r6"])
+    def test_why_binds_smallest_answer_under_any_partitioning(self, spark, name):
+        spec = QUERIES[name]
+        prog = spec.program()
+        old = spark.conf.get("spark.sql.shuffle.partitions")
+        bound = []
+        try:
+            for parts in ("4", "64"):
+                spark.conf.set("spark.sql.shuffle.partitions", parts)
+                catalog = Catalog(spark, spec.build_db(spark, 2000, 0))
+                smallest = min(r["h0"] for r in evaluate(catalog, prog).collect())
+                t = spec.ptuple(catalog, prog, WHY)
+                assert t.args == (Const(smallest),)
+                bound.append(t)
+        finally:
+            spark.conf.set("spark.sql.shuffle.partitions", old)
+        assert bound[0] == bound[1]
 
 
 class TestPerfScaling:
@@ -162,3 +186,52 @@ class TestCommon:
 
     def test_format_empty(self):
         assert format_rows([]) == "(no rows)"
+
+
+def _headers(out: str) -> list[str]:
+    return re.findall(r"^== (.*) ==$", out, re.M)
+
+
+class TestCommandLine:
+    def test_t8(self, spark, capsys):
+        run(spark, ["t8", "--queries", "r1", "--size", "300", "--n-s", "50",
+                    "--ks", "1,3"])
+        out = capsys.readouterr().out
+        assert _headers(out) == ["T8 r1 why", "T8 r1 whynot"]
+        assert "t_topk" in out and "proved_optimal" in out
+
+    def test_t6_t7(self, spark, capsys):
+        # r1 and r4 are summarized by other tests; these are the rest of
+        # T6/T7's queries
+        flags = ["--sizes", "200", "--samples", "20", "--k", "2"]
+        run(spark, ["t6", "--queries", "r3", *flags])
+        run(spark, ["t7", *flags])
+        out = capsys.readouterr().out
+        assert _headers(out) == [
+            f"{table} {query} {qtype}"
+            for table, queries in (("T6", ["r3"]), ("T7", ["r2", "r11", "r12"]))
+            for query in queries
+            for qtype in (WHY, WHYNOT)
+        ]
+        # None prints as "timeout": each why row's prov_size, and every
+        # t_* cell of a run that failed
+        assert out.count("timeout") == 4
+
+    def test_t11(self, spark, capsys):
+        run(spark, ["t11", "--queries", "r1", "--size", "300", "--n-s", "50",
+                    "--ks", "1,3"])
+        out = capsys.readouterr().out
+        assert _headers(out) == [
+            "T11 completeness (why)", "T11 completeness (whynot)",
+        ]
+        assert "completeness" in out.splitlines()[2]
+
+    @pytest.mark.parametrize("doc", ["README.md", "EXPERIMENTS.md"])
+    def test_documented_commands_parse(self, doc):
+        text = (Path(__file__).resolve().parents[1] / doc).read_text()
+        commands = re.findall(
+            r"(?:^|`)python -m repro\.experiments ([^`\n]*)", text, re.M
+        )
+        assert commands
+        for command in commands:
+            parser().parse_args(shlex.split(command, comments=True))

@@ -89,17 +89,12 @@ class TestBestFirst:
         r = topk_bestfirst(patterns[:20], 3, store)
         assert len(r.patterns) == 3
 
-    def test_bounds_are_ordered(self):
-        patterns, store = _random_instance(1)
-        r = topk_bestfirst(patterns[:20], 3, store)
-        assert r.score_lb <= r.score_ub + 1e-9
-
     @pytest.mark.parametrize("seed", range(6))
     def test_true_score_within_bounds(self, seed):
         patterns, store = _random_instance(seed)
         r = topk_bestfirst(patterns[:15], 3, store)
         true = store.score_of_set(r.patterns)
-        assert r.score_lb - 1e-9 <= true <= r.score_ub + 1e-9
+        assert r.score - 1e-9 <= true <= r.score + 1e-9
 
     @pytest.mark.parametrize("seed", range(6))
     def test_close_to_exact_optimum(self, seed):
@@ -114,9 +109,9 @@ class TestBestFirst:
             ex = topk_exact(pats, k, store)
             assert bf.proved_optimal
             assert store.score_of_set(bf.patterns) == pytest.approx(
-                ex.score_lb, abs=1e-12
+                ex.score, abs=1e-12
             )
-            assert bf.score_lb == pytest.approx(ex.score_lb, abs=1e-12)
+            assert bf.score == pytest.approx(ex.score, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_two_rule_store_equals_exact_optimum(self, seed):
@@ -126,7 +121,7 @@ class TestBestFirst:
             ex = topk_exact(patterns, k, store)
             assert bf.proved_optimal
             assert store.score_of_set(bf.patterns) == pytest.approx(
-                ex.score_lb, abs=1e-12
+                ex.score, abs=1e-12
             )
 
     def test_k_one_picks_best_singleton(self):
@@ -143,9 +138,9 @@ class TestBestFirst:
         r = topk_bestfirst(patterns[:20], 3, store, max_pops=2)
         assert len(r.patterns) == 3
         assert not r.proved_optimal
-        assert r.score_lb == pytest.approx(store.score_of_set(r.patterns))
+        assert r.score == pytest.approx(store.score_of_set(r.patterns))
         greedy = topk_greedy(patterns[:20], 3, store)
-        assert r.score_lb >= greedy.score_lb - 1e-12
+        assert r.score >= greedy.score - 1e-12
 
     def test_disjoint_patterns_proved(self):
         ps = [
@@ -155,8 +150,7 @@ class TestBestFirst:
         r = topk_bestfirst(ps, 3, _disjoint_store())
         # all-constant patterns: info 1.0 each, disjoint → exact cp known
         assert r.proved_optimal
-        assert r.score_lb == pytest.approx(r.score_ub)
-        assert r.score_lb == pytest.approx(harmonic(0.8, 1.0))
+        assert r.score == pytest.approx(harmonic(0.8, 1.0))
         assert {p.args for p in r.patterns} == {(1, 1), (2, 2), (3, 3)}
 
 
@@ -165,7 +159,7 @@ class TestGreedy:
         patterns, store = _random_instance(5)
         r = topk_greedy(patterns, 3, store)
         assert len(r.patterns) == 3
-        assert r.score_lb == pytest.approx(store.score_of_set(r.patterns))
+        assert r.score == pytest.approx(store.score_of_set(r.patterns))
 
     def test_handles_small_pool(self):
         r = topk_greedy([mk((1, None), cp=0.3)], 5, _disjoint_store())
@@ -178,10 +172,10 @@ class TestExact:
         pats = patterns[:10]
         ex = topk_exact(pats, 2, store)
         gr = topk_greedy(pats, 2, store)
-        assert ex.score_lb >= store.score_of_set(gr.patterns) - 1e-9
+        assert ex.score >= store.score_of_set(gr.patterns) - 1e-9
 
     def test_info_consistency(self):
         patterns, store = _random_instance(7, n_rows=20)
         ex = topk_exact(patterns[:8], 2, store)
-        assert store.score_of_set(ex.patterns) == pytest.approx(ex.score_lb)
+        assert store.score_of_set(ex.patterns) == pytest.approx(ex.score)
         assert 0.0 <= info_of_set(ex.patterns) <= 1.0
