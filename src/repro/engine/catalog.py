@@ -7,11 +7,14 @@ variable domains are unions of the domains of the attributes the
 variable is bound to (``attrs(X)`` in Sec. 5.2). Overrides can be
 registered per attribute for experiments that need a fixed 𝔻.
 
-Domains, the query result Q(D) and the goal relations depend on the
-database and the query, not on the provenance question, so the catalog
-keeps them: each collected domain, each Q(D) with its driver-side
-:class:`AnswerIndex`, and each goal's projection is computed on first
-use and reused by every later question.
+Domains, the query result Q(D), the goal relations and each rule's
+successful derivations depend on the database and the query, not on the
+provenance question. The catalog computes each on first use and every
+later question reuses it: the collected domains, each Q(D) with its
+driver-side :class:`AnswerIndex`, each goal's projection and each base
+rule's successful derivations. A question applies its constants as
+filters on these relations. The domains a why-not question lacks are
+collected together, in one Spark action (:meth:`Catalog.fill_domains`).
 """
 from __future__ import annotations
 
@@ -22,7 +25,8 @@ from pyspark.sql import functions as F
 from pyspark.sql.types import StructField
 
 from repro.core.ast import Atom, Program, Rule, Var
-from repro.engine.eval import atom_df, evaluate
+from repro.engine.eval import atom_df, evaluate, successful_derivations
+from repro.engine.tagged import collect_tagged
 
 #: An attribute occurrence: (relation name, 0-based column position).
 Occurrence = tuple[str, int]
@@ -42,7 +46,11 @@ def canonical_sort(rows: Iterable[Sequence]) -> list[tuple]:
 
 def collect_values(df: DataFrame) -> Values:
     """A unary DataFrame's column and its values, canonically sorted."""
-    return df.schema[0], tuple(r[0] for r in canonical_sort(df.collect()))
+    return _values(df, df.collect())
+
+
+def _values(df: DataFrame, rows: Iterable[Sequence]) -> Values:
+    return df.schema[0], tuple(r[0] for r in canonical_sort(rows))
 
 
 class AnswerIndex:
@@ -76,6 +84,7 @@ class Catalog:
         self._results: dict[Program, DataFrame] = {}
         self._answers: dict[Program, AnswerIndex] = {}
         self._goals: dict[Atom, DataFrame] = {}
+        self._derivations: dict[Rule, DataFrame] = {}
 
     def relation_names(self) -> list[str]:
         return sorted(self._tables)
@@ -134,6 +143,16 @@ class Catalog:
             hit = self._domain_values[key] = collect_values(plan())
         return hit
 
+    def fill_domains(self, plans: dict[Hashable, Callable[[], DataFrame]]) -> None:
+        """Collect every domain of ``plans`` (key → plan, as in
+        :meth:`domain_values`) that the catalog does not hold yet, all in
+        one Spark action; later :meth:`domain_values` calls find them."""
+        missing = {k: p() for k, p in plans.items() if k not in self._domain_values}
+        if missing:
+            dfs = list(missing.values())
+            for key, df, rows in zip(missing, dfs, collect_tagged(dfs)):
+                self._domain_values[key] = _values(df, rows)
+
     def domain_size(self, occurrences: list[Occurrence]) -> int:
         key = (tuple(occurrences), ())
         return len(self.domain_values(key, lambda: self.domain(occurrences))[1])
@@ -154,22 +173,43 @@ class Catalog:
             index = self._answers[program] = AnswerIndex(self.result(program).collect())
         return index
 
+    def _persisted(
+        self, cache: dict, key: Hashable, plan: Callable[[], DataFrame]
+    ) -> DataFrame:
+        """``cache[key]``, filled on first use with ``plan()`` persisted.
+
+        The entry keeps one partition per core: Spark does not coalesce a
+        cached plan's shuffle partitions, and every question scans them
+        all.
+        """
+        df = cache.get(key)
+        if df is None:
+            cores = self.spark.sparkContext.defaultParallelism
+            df = cache[key] = plan().coalesce(cores).persist()
+        return df
+
     def goal_projection(self, atom: Atom) -> DataFrame:
         """The distinct bindings of ``atom``'s variables (:func:`atom_df` of
         its positive form), persisted on first use, then reused.
 
         Goal annotation asks for the *base* rule's atoms, which no question
         changes, and applies a question's constants as filters on the
-        result, so one entry serves every question. The entry keeps one
-        partition per core: Spark does not coalesce a cached plan's
-        shuffle partitions, and every question scans them all.
+        result, so one entry serves every question.
         """
         key = Atom(atom.pred, atom.args)
-        df = self._goals.get(key)
-        if df is None:
-            cores = self.spark.sparkContext.defaultParallelism
-            df = self._goals[key] = atom_df(self, key).coalesce(cores).persist()
-        return df
+        return self._persisted(self._goals, key, lambda: atom_df(self, key))
+
+    def derivations(self, rule: Rule) -> DataFrame:
+        """:func:`successful_derivations` of ``rule``, persisted on first
+        use, then reused.
+
+        Why capture asks for the *base* rule, which no question changes,
+        and applies a question's constants as filters on the result, so
+        one entry serves every question.
+        """
+        return self._persisted(
+            self._derivations, rule, lambda: successful_derivations(self, rule)
+        )
 
 
 def attrs_of_vars(rule: Rule) -> dict[Var, list[Occurrence]]:

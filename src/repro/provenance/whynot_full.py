@@ -71,6 +71,12 @@ def _occurrences(unified: UnifiedRule, var: Var) -> list[Occurrence]:
     return occs
 
 
+def _domain_key(unified: UnifiedRule, var: Var) -> tuple:
+    """The catalog key of ``var``'s domain: (attrs(X), θ_X)."""
+    per_var, _ = split_comparisons(unified)
+    return tuple(_occurrences(unified, var)), tuple(per_var.get(var.name, ()))
+
+
 def variable_values(
     catalog: Catalog,
     unified: UnifiedRule,
@@ -85,12 +91,26 @@ def variable_values(
     """
     if domains is not None and var.name in domains:
         return collect_values(variable_domain(catalog, unified, var, domains))
-    per_var, _ = split_comparisons(unified)
-    key = (tuple(_occurrences(unified, var)), tuple(per_var.get(var.name, ())))
     field, values = catalog.domain_values(
-        key, lambda: variable_domain(catalog, unified, var)
+        _domain_key(unified, var), lambda: variable_domain(catalog, unified, var)
     )
     return StructField(var.name, field.dataType, field.nullable), values
+
+
+def fill_variable_domains(
+    catalog: Catalog,
+    rules: list[UnifiedRule],
+    domains: dict[str, DataFrame] | None = None,
+) -> None:
+    """Collect in one Spark action every catalog domain that the unbound
+    variables of ``rules`` need and the catalog does not hold yet; a
+    variable that ``domains`` overrides needs none."""
+    catalog.fill_domains({
+        _domain_key(u, v): (lambda u=u, v=v: variable_domain(catalog, u, v))
+        for u in rules
+        for v in u.unbound
+        if domains is None or v.name not in domains
+    })
 
 
 def all_valuations(

@@ -15,8 +15,9 @@ Work that touches the database stays in Catalyst: the domains, Q(D),
 the anti-join and the goal annotation. The domains, Q(D) and the goal
 relations do not depend on the question, so the catalog computes them
 once and every question reuses them (``Catalog.domain_values``,
-``Catalog.result``, ``Catalog.goal_projection``); σ_t's count for p_prov
-and the ground-head existence check read ``Catalog.answers``, Q(D)'s
+``Catalog.result``, ``Catalog.goal_projection``); the domains a question
+finds missing are collected together, in one action. σ_t's count for
+p_prov and the ground-head existence check read ``Catalog.answers``, Q(D)'s
 answers collected once to the driver. The draws are made on the driver
 (``repro.sampling.ops``) and deduplicated there, since a derivation's
 annotation is a function of its binding. Every rule's n_OS is thus known
@@ -31,23 +32,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 from pyspark.sql.types import BooleanType, StructField, StructType
 
 from repro.core.ast import Const, Program, Var
 from repro.core.unify import PTuple, UnifiedRule, unify_program
 from repro.engine.catalog import AnswerIndex, Catalog, canonical_sort
 from repro.engine.eval import comparison_column
+from repro.engine.tagged import collect_tagged
 from repro.provenance.annotate import (
     annotate_goals,
     anti_join_existing,
     goal_column_names,
 )
-from repro.provenance.whynot_full import split_comparisons, variable_values
+from repro.provenance.whynot_full import (
+    fill_variable_domains,
+    split_comparisons,
+    variable_values,
+)
 from repro.sampling.ops import sample_with_replacement
 from repro.sampling.oversample import (
     comparison_selectivity,
@@ -181,28 +185,6 @@ def _plan(catalog: Catalog, result: DataFrame, draw: _Draw) -> DataFrame:
     return annotate_goals(catalog, unified, bind)
 
 
-def _collect_tagged(plans: list[DataFrame]) -> list[list[tuple]]:
-    """Every plan's rows from one ``collect()``: the plans' columns are
-    prefixed by their index ``i``, a column ``__rule`` = i tags each row,
-    and the plans are unioned by name. The tag, not a null, tells the
-    rows apart: None is a value a domain may hold."""
-    tagged = [
-        p.select(
-            F.lit(i).alias("__rule"),
-            *[F.col(c).alias(f"__r{i}_{c}") for c in p.columns],
-        )
-        for i, p in enumerate(plans)
-    ]
-    fused = reduce(lambda a, b: a.unionByName(b, allowMissingColumns=True), tagged)
-    pos = {c: j for j, c in enumerate(fused.columns)}
-    cols = [[pos[f"__r{i}_{c}"] for c in p.columns] for i, p in enumerate(plans)]
-    out: list[list[tuple]] = [[] for _ in plans]
-    for row in fused.collect():
-        i = row[0]
-        out[i].append(tuple(row[j] for j in cols[i]))
-    return out
-
-
 def _sample_rules(
     catalog: Catalog,
     program: Program,
@@ -217,6 +199,7 @@ def _sample_rules(
     every rule's n_OS is known before Spark runs; then one collected plan
     for all rules; then each rule's n_S cut."""
     answers = catalog.answers(program)
+    fill_variable_domains(catalog, rules, domains)
     draws = [
         _draw(catalog, answers, u, n_s, p_success, seed, domains, max_n_os)
         for u, seed in zip(rules, seeds)
@@ -224,7 +207,7 @@ def _sample_rules(
     pending = [d for d in draws if isinstance(d, _Draw)]
     if pending:
         result = catalog.result(program)
-        collected = _collect_tagged([_plan(catalog, result, d) for d in pending])
+        collected = collect_tagged([_plan(catalog, result, d) for d in pending])
         for d, rows in zip(pending, collected):
             survivors = canonical_sort(rows)
             if len(survivors) > n_s:

@@ -27,10 +27,10 @@ from pyspark.sql import functions as F
 from repro.core.ast import Program
 from repro.core.unify import WHY, WHYNOT, PQuestion, UnifiedRule
 from repro.engine.catalog import Catalog
+from repro.engine.tagged import collect_tagged
 from repro.patterns.lca import lca_codes
 from repro.patterns.matching import collect_patterns, count_matches
 from repro.patterns.pattern import Pattern
-from repro.provenance.annotate import goal_column_names
 from repro.provenance.why import why_provenance
 from repro.provenance.whynot_full import whynot_full
 from repro.sampling.whynot import sample_whynot
@@ -67,13 +67,13 @@ class Summary:
         return "\n".join(lines)
 
 
-def _collect_rows(
-    df: DataFrame, var_cols: list[str], goal_cols: list[str]
+def _split(
+    unified: UnifiedRule, rows: list[tuple]
 ) -> list[tuple[tuple, tuple[bool, ...]]]:
-    return [
-        (tuple(r[v] for v in var_cols), tuple(bool(r[g]) for g in goal_cols))
-        for r in df.collect()
-    ]
+    """Rows in a sample's column order (unbound variables, then goals) as
+    ``(args, goals)`` pairs."""
+    n = len(unified.unbound)
+    return [(tuple(r[:n]), tuple(map(bool, r[n:]))) for r in rows]
 
 
 def _capture(
@@ -98,11 +98,8 @@ def _capture(
     and ``capped`` (the why-not over-sample hit ``max_n_os``).
     """
     out: list[tuple[UnifiedRule, list, float, dict]] = []
-
-    def cols(u: UnifiedRule) -> tuple[list[str], list[str]]:
-        return [v.name for v in u.unbound], goal_column_names(u.n_goals)
-
     if question.qtype == WHY:
+        rules, cuts, seen = [], [], []
         for u, df in why_provenance(catalog, program, question.ptuple):
             # uniform cut to n_S in Catalyst (why provenance grows with the
             # database), ordered by a seeded hash of the row, then the row:
@@ -112,26 +109,33 @@ def _capture(
             # sits below a shuffle: where Spark knows there are at most n_S
             # rows it drops the limit, sorts globally and samples the sort's
             # input first, and that sample would run the observation again.
-            seen = Observation()
+            obs = Observation()
             order = [F.col(c) for c in df.columns]
-            cut = (
-                df.observe(seen, F.count(F.lit(1)).alias("n"))
+            cuts.append(
+                df.observe(obs, F.count(F.lit(1)).alias("n"))
                 .repartition(1)
                 .orderBy(F.xxhash64(F.lit(seed), *order), *order)
                 .limit(n_s)
             )
-            rows = _collect_rows(cut, *cols(u))
-            full = seen.get["n"]
+            rules.append(u)
+            seen.append(obs)
+        # every rule's cut in one action. An empty cut means no derivation;
+        # adaptive execution drops an empty rule's branch from the union,
+        # observation included, so only a non-empty cut's count is read.
+        collected = collect_tagged(cuts) if cuts else []
+        for u, obs, rows in zip(rules, seen, collected):
             if rows:
+                full = obs.get["n"]
                 out.append(
-                    (u, rows, float(full), {"n_survivors": full, "capped": False})
+                    (u, _split(u, rows), float(full),
+                     {"n_survivors": full, "capped": False})
                 )
         return out
     if use_full:
         for u, df in whynot_full(
             catalog, program, question.ptuple, domains, max_full_derivations
         ):
-            rows = _collect_rows(df, *cols(u))
+            rows = _split(u, df.collect())
             if rows:
                 out.append(
                     (u, rows, float(len(rows)),
@@ -148,8 +152,7 @@ def _capture(
         domains=domains,
         max_n_os=max_n_os,
     ):
-        n_vars = len(rs.unified.unbound)
-        rows = [(r[:n_vars], tuple(map(bool, r[n_vars:]))) for r in rs.rows]
+        rows = _split(rs.unified, rs.rows)
         if rows:
             out.append(
                 (

@@ -5,11 +5,19 @@ import pandas as pd
 import pytest
 
 from repro.core.ast import parse_program
-from repro.core.unify import WHYNOT, PQuestion, parse_ptuple, unify_rule
+from repro.core.unify import (
+    WHYNOT,
+    PQuestion,
+    parse_ptuple,
+    unify_program,
+    unify_rule,
+)
 from repro.datasets.airbnb import airbnb_program, s_airbnb
 from repro.datasets.graph_r import graph_r, rex_program
+from repro.datasets.license import license_db, r1_program, r2_program
+from repro.datasets.movies import movies, r4_program
 from repro.engine.catalog import Catalog
-from repro.engine.eval import evaluate
+from repro.engine.eval import evaluate, successful_derivations
 from repro.provenance.annotate import annotate_goals, anti_join_existing
 from repro.provenance.why import why_derivations, why_provenance
 from repro.provenance.whynot_full import (
@@ -18,6 +26,7 @@ from repro.provenance.whynot_full import (
     whynot_full,
     whynot_full_rule,
 )
+from tests.test_sampling import _actions_of
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +66,84 @@ class TestWhy:
         # two successful derivations: cozy homebase (2445, $45) and
         # modern view (2332, $350)
         assert len(rows) == 2
+
+
+class TestWhyFromCatalog:
+    """``why_derivations`` filters the catalog's persisted derivations of
+    the base rule; its oracle evaluates the unified rule from scratch."""
+
+    @staticmethod
+    def _check(catalog, program, ptuple):
+        """Per rule of ``program``: the derivations both paths agree on."""
+        rules = unify_program(program, parse_ptuple(ptuple))
+        assert rules
+        out = []
+        for u in rules:
+            names = [v.name for v in u.unbound]
+            n = len(names)
+            fast = why_derivations(catalog, u)
+            assert fast.columns[:n] == names
+            rows = fast.collect()
+            assert all(all(r[n:]) for r in rows)
+            oracle = successful_derivations(catalog, u.rule)
+            assert oracle.columns == names
+            expected = {tuple(r) for r in oracle.collect()}
+            assert len(rows) == len(expected)  # no duplicate derivation
+            assert {tuple(r[:n]) for r in rows} == expected
+            out.append(expected)
+        return out
+
+    @pytest.fixture(scope="class")
+    def license_cat(self, spark):
+        return Catalog(spark, license_db(spark, n=300, seed=0))
+
+    @pytest.mark.parametrize("ptuple", ["InvalidD(C)", "InvalidD('city_1')"])
+    def test_r1(self, license_cat, ptuple):
+        assert all(self._check(license_cat, r1_program(), ptuple))
+
+    @pytest.mark.parametrize("ptuple", ["Fsenior(C)", "Fsenior('city_0')"])
+    def test_r2_body_constant_and_comparison(self, license_cat, ptuple):
+        assert all(self._check(license_cat, r2_program(), ptuple))
+
+    @pytest.mark.parametrize("rule,ptuple,expected", [
+        # a repeated placeholder adds X = Y
+        ("P(X, Y) :- R(X, Z), R(Z, Y).", "P(X, X)", {(5, 5, 5)}),
+        # binding Y leaves the ground goal R(2, 3), which holds ...
+        ("P(X, Y) :- R(X, Y), R(Y, 3).", "P(X, 2)", {(1,)}),
+        # ... or R(4, 3), which does not
+        ("P(X, Y) :- R(X, Y), R(Y, 3).", "P(X, 4)", set()),
+    ])
+    def test_repeated_placeholder_and_ground_goals(
+        self, spark, rule, ptuple, expected
+    ):
+        catalog = Catalog(spark, graph_r(spark))
+        assert self._check(catalog, parse_program(rule), ptuple) == [expected]
+
+    def test_bound_variable_in_negated_goal(self, spark):
+        # R(5, 5) is an edge, so ¬R(Y, 5) fails for Y = 5
+        catalog = Catalog(spark, graph_r(spark))
+        prog = parse_program("P(X, Y) :- R(X, Y), not R(Y, X).")
+        assert self._check(catalog, prog, "P(5, Y)") == [{(3,), (6,)}]
+
+    @pytest.mark.parametrize("ptuple", ["Players(A)", "Players('jack black')"])
+    def test_r4_union(self, spark, ptuple):
+        catalog = Catalog(spark, movies(spark, n_movies=500, seed=0))
+        assert all(self._check(catalog, r4_program(), ptuple))
+
+    def test_second_question_reads_the_persisted_derivations(
+        self, spark, monkeypatch
+    ):
+        catalog = Catalog(spark, license_db(spark, n=300, seed=0))
+        prog = r1_program()
+        (u1,) = unify_program(prog, parse_ptuple("InvalidD('city_1')"))
+        (u2,) = unify_program(prog, parse_ptuple("InvalidD(C)"))
+        assert why_derivations(catalog, u1).collect()
+        persisted = spark.sparkContext._jsc.getPersistentRDDs().size()
+        rows, actions = _actions_of(
+            monkeypatch, spark, lambda: why_derivations(catalog, u2).collect()
+        )
+        assert rows and actions == ["collect"]
+        assert spark.sparkContext._jsc.getPersistentRDDs().size() == persisted
 
 
 class TestWhynotFull:

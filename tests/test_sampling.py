@@ -6,11 +6,19 @@ import pandas as pd
 import pytest
 
 from repro.core.ast import Var, parse_program
-from repro.core.unify import WHY, WHYNOT, PQuestion, parse_ptuple, unify_rule
+from repro.core.unify import (
+    WHY,
+    WHYNOT,
+    PQuestion,
+    parse_ptuple,
+    unify_program,
+    unify_rule,
+)
 from repro.datasets.airbnb import airbnb_program, s_airbnb
 from repro.datasets.graph_r import graph_r, rex_program
 from repro.datasets.license import license_db, r1_program, r2_program
 from repro.engine.catalog import Catalog, canonical_sort
+from repro.engine.eval import successful_derivations
 from repro.provenance.whynot_full import variable_values, whynot_full
 from repro.sampling.ops import sample_with_replacement
 from repro.sampling.whynot import sample_whynot, sample_whynot_rule
@@ -492,6 +500,40 @@ class TestOneAction:
         assert actions == ["collect"]
         assert s.per_rule[0]["n_survivors"] == 2  # X = 1 and X = 4
 
+    def test_why_union(self, spark, monkeypatch):
+        # every rule's cut runs in the one collect, and each rule's
+        # observation counts all its derivations, not the n_S = 1 it keeps
+        catalog = Catalog(
+            spark, {k: spark.createDataFrame(v) for k, v in _UNION_DB.items()}
+        )
+        prog = parse_program(*_UNION_RULES, "Q(X) :- T(X), not S(X).")
+        q = PQuestion(parse_ptuple("Q(X)"), WHY)
+        s, actions = _actions_of(
+            monkeypatch, spark, lambda: summarize(catalog, prog, q, k=1, n_s=1)
+        )
+        assert actions == ["collect"]
+        counts = {
+            u.rule_id: successful_derivations(catalog, u.rule).count()
+            for u in unify_program(prog, q.ptuple)
+        }
+        assert counts == {"r": 2, "r_2": 0, "r_3": 0, "r_4": 2}
+        assert {r["rule_id"]: r["n_survivors"] for r in s.per_rule} == {
+            rid: n for rid, n in counts.items() if n
+        }
+        assert all(r["n_sample"] == 1 for r in s.per_rule)
+
+    def test_cold_r1_whynot(self, spark, monkeypatch):
+        # a fresh catalog: Q(D)'s answers, every domain in one collect,
+        # then the fused plan
+        tables = license_db(spark, n=300, seed=0)
+        q = PQuestion(parse_ptuple("InvalidD('city_0')"), WHYNOT)
+        s, actions = _actions_of(
+            monkeypatch, spark,
+            lambda: summarize(Catalog(spark, tables), r1_program(), q, n_s=50),
+        )
+        assert s.patterns
+        assert actions == ["collect"] * 3
+
     @pytest.mark.parametrize("n_rules", [2, 3])
     def test_union_matches_full(self, spark, monkeypatch, n_rules):
         catalog = Catalog(
@@ -528,6 +570,16 @@ class TestEdgeCases:
         )
         assert s.patterns == () and s.per_rule == [] and s.score == 0.0
         assert actions == []
+
+    def test_why_without_derivations_gives_empty_summary(self, spark):
+        # T ⋈ S is empty: adaptive execution prunes the empty plan, and
+        # with it the cut's observation, which then must not be read
+        catalog = Catalog(
+            spark, {k: spark.createDataFrame(v) for k, v in _UNION_DB.items()}
+        )
+        prog = parse_program("Q(X) :- T(X), S(X).")
+        s = summarize(catalog, prog, PQuestion(parse_ptuple("Q(X)"), WHY), n_s=5)
+        assert s.patterns == () and s.per_rule == [] and s.score == 0.0
 
     def test_ground_negated_goal_that_holds_gives_empty_sample(self, spark):
         # ¬S(5) holds, and every X in R's domain has its answer via Y = X:
