@@ -74,14 +74,20 @@ def annotate_goals(
     return out.select(*[v.name for v in unified.unbound], *goals)
 
 
+def head_constants(unified: UnifiedRule) -> dict[int, object]:
+    """The head positions σ_t selects on, with the constant each must hold."""
+    return {
+        i: a.value for i, a in enumerate(unified.rule.head.args) if isinstance(a, Const)
+    }
+
+
 def filter_result_to_head(result: DataFrame, unified: UnifiedRule) -> Column | None:
     """σ_t condition: restrict query answers (cols h0…) to heads the
     unified rule can produce — constant head positions must match."""
     cond: Column | None = None
-    for i, arg in enumerate(unified.rule.head.args):
-        if isinstance(arg, Const):
-            c = F.col(f"h{i}") == F.lit(arg.value)
-            cond = c if cond is None else (cond & c)
+    for i, value in head_constants(unified).items():
+        c = F.col(f"h{i}") == F.lit(value)
+        cond = c if cond is None else (cond & c)
     return cond
 
 
@@ -90,7 +96,11 @@ def anti_join_existing(
 ) -> DataFrame:
     """Q_der: drop derivations whose head is an existing answer.
 
-    ``result`` is the query output with columns ``h0 … h{n-1}``.
+    ``result`` is the query output with columns ``h0 … h{n-1}``. Only a
+    plan is built, no Spark job runs. A fully ground head gives an
+    anti-join without a condition, which keeps ``deriv`` iff its answer
+    is missing; the samplers decide that case from the catalog's answer
+    index instead and call this only for heads with a variable.
     """
     sigma = filter_result_to_head(result, unified)
     matching = result.filter(sigma) if sigma is not None else result
@@ -99,9 +109,4 @@ def anti_join_existing(
         if isinstance(arg, Var):
             c = F.col(arg.name) == matching[f"h{i}"]
             cond = c if cond is None else (cond & c)
-    if cond is None:
-        # fully ground head: the answer either exists (no why-not
-        # derivations at all) or is missing (keep everything)
-        exists = matching.limit(1).count() > 0
-        return deriv.limit(0) if exists else deriv
     return deriv.join(matching, on=cond, how="left_anti")

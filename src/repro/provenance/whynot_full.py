@@ -14,7 +14,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import StructField
 
-from repro.core.ast import Comparison, Const, Program, Var
+from repro.core.ast import Comparison, Program, Var
 from repro.core.unify import PTuple, UnifiedRule, unify_program
 from repro.engine.catalog import (
     Catalog,
@@ -24,7 +24,11 @@ from repro.engine.catalog import (
     collect_values,
 )
 from repro.engine.eval import comparison_column
-from repro.provenance.annotate import annotate_goals, anti_join_existing
+from repro.provenance.annotate import (
+    annotate_goals,
+    anti_join_existing,
+    head_constants,
+)
 
 
 def split_comparisons(
@@ -168,10 +172,15 @@ def whynot_full_rule(
                 f"max_derivations={max_derivations}"
             )
     vals = all_valuations(catalog, unified, domains)
-    if result is None:
-        result = catalog.result(program)
-    failed = anti_join_existing(vals, result, unified)
-    return annotate_goals(catalog, unified, failed).distinct()
+    if any(isinstance(a, Var) for a in unified.rule.head.args):
+        if result is None:
+            result = catalog.result(program)
+        vals = anti_join_existing(vals, result, unified)
+    elif catalog.answers(program).matching(head_constants(unified)):
+        vals = vals.limit(0)  # the one head this rule derives exists
+    # domains, their cross product and the joins with the distinct goal
+    # relations are all sets: the result has no duplicate to drop
+    return annotate_goals(catalog, unified, vals)
 
 
 def whynot_full(
@@ -181,14 +190,15 @@ def whynot_full(
     domains: dict[str, DataFrame] | None = None,
     max_derivations: int | None = 5_000_000,
 ) -> list[tuple[UnifiedRule, DataFrame]]:
-    """Whynot(Q, D, t) per rule: [(unified rule, annotated derivations)]."""
+    """Whynot(Q, D, t) per rule: [(unified rule, annotated derivations)].
+
+    Every domain the rules need and the catalog lacks is collected first,
+    in one Spark action.
+    """
+    rules = unify_program(program, t)
+    fill_variable_domains(catalog, rules, domains)
     result = catalog.result(program)
     return [
-        (
-            u,
-            whynot_full_rule(
-                catalog, program, u, domains, result, max_derivations
-            ),
-        )
-        for u in unify_program(program, t)
+        (u, whynot_full_rule(catalog, program, u, domains, result, max_derivations))
+        for u in rules
     ]

@@ -21,12 +21,14 @@ p_prov and the ground-head existence check read ``Catalog.answers``, Q(D)'s
 answers collected once to the driver. The draws are made on the driver
 (``repro.sampling.ops``) and deduplicated there, since a derivation's
 annotation is a function of its binding. Every rule's n_OS is thus known
-before Spark runs, and steps 1–3 of all rules of a UCQ run as one plan,
-tagged by rule, with one ``collect()``. Each rule's n_S cut is drawn on
-the driver from its canonically sorted survivors. A rule's draws come
-from one ``numpy.random.Generator`` seeded with its seed, so the sample
-depends on (data, question, seed, n_S) alone, not on Spark's
-partitioning.
+before Spark runs. Each rule's bindings go back to Spark as a local
+relation built from an Arrow table (``repro.engine.tagged.local_frame``),
+not as a pickled Python RDD, and steps 1–3 of all rules of a UCQ run as
+one plan over them, tagged by rule, with one ``collect()``. Each rule's
+n_S cut is drawn on the driver from its canonically sorted survivors. A
+rule's draws come from one ``numpy.random.Generator`` seeded with its
+seed, so the sample depends on (data, question, seed, n_S) alone, not on
+Spark's partitioning.
 """
 from __future__ import annotations
 
@@ -37,15 +39,16 @@ import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql.types import BooleanType, StructField, StructType
 
-from repro.core.ast import Const, Program, Var
+from repro.core.ast import Program, Var
 from repro.core.unify import PTuple, UnifiedRule, unify_program
 from repro.engine.catalog import AnswerIndex, Catalog, canonical_sort
 from repro.engine.eval import comparison_column
-from repro.engine.tagged import collect_tagged
+from repro.engine.tagged import collect_tagged, local_frame
 from repro.provenance.annotate import (
     annotate_goals,
     anti_join_existing,
     goal_column_names,
+    head_constants,
 )
 from repro.provenance.whynot_full import (
     fill_variable_domains,
@@ -88,9 +91,8 @@ def _existing_answers(
     whose value for every head variable lies in that variable's domain
     (one value per variable, where the head repeats it)."""
     head = unified.rule.head.args
-    consts = {i: a.value for i, a in enumerate(head) if isinstance(a, Const)}
     n = 0
-    for row in answers.matching(consts):
+    for row in answers.matching(head_constants(unified)):
         seen: dict[str, object] = {}
         n += all(
             row[i] in domains[a.name] and seen.setdefault(a.name, row[i]) == row[i]
@@ -172,7 +174,7 @@ def _plan(catalog: Catalog, result: DataFrame, draw: _Draw) -> DataFrame:
     """Steps 1–3 of one rule as a lazy plan over its drawn bindings."""
     unified = draw.sample.unified
     if draw.fields:
-        bind = catalog.spark.createDataFrame(draw.bindings, StructType(draw.fields))
+        bind = local_frame(catalog.spark, draw.bindings, StructType(draw.fields))
     else:  # fully bound question: the single empty valuation
         bind = catalog.spark.range(1).drop("id")
     for c in split_comparisons(unified)[1]:

@@ -1,12 +1,29 @@
 """Tests for the Spark UCQ¬< engine against the DuckDB oracle."""
+import datetime
+import decimal
+import math
+
 import pandas as pd
 import pytest
+from pyspark.sql.types import (
+    BooleanType,
+    DateType,
+    DecimalType,
+    DoubleType,
+    IntegerType,
+    LongType,
+    StringType,
+    StructField,
+    StructType,
+    TimestampType,
+)
 
 from repro.core.ast import parse_program, parse_rule
 from repro.core.sqlgen import program_to_sql, rule_to_sql
 from repro.datasets.graph_r import graph_r, rex_program
 from repro.engine.catalog import Catalog
 from repro.engine.eval import evaluate, evaluate_rule, successful_derivations
+from repro.engine.tagged import local_frame
 from repro.oracle import assert_equivalent
 
 
@@ -197,3 +214,47 @@ class TestSqlgenOracle:
         rule = parse_rule("Q(X) :- R(X, Y), Y > 5.")
         sql = rule_to_sql(rule, catalog.column_map())
         assert_equivalent(evaluate_rule(catalog, rule), sql, **tabs)
+
+
+class TestLocalFrame:
+    """Driver rows to Spark and back: ``local_frame`` then ``collect()``
+    returns exactly the rows it was given."""
+
+    SCHEMA = StructType([
+        StructField("l", LongType()),
+        StructField("i", IntegerType()),
+        StructField("d", DoubleType()),
+        StructField("s", StringType()),
+        StructField("b", BooleanType()),
+        StructField("dt", DateType()),
+        StructField("ts", TimestampType()),
+        StructField("dec", DecimalType(10, 2)),
+    ])
+    ROWS = [
+        (1, 2, 0.5, "a", True, datetime.date(2020, 1, 2),
+         datetime.datetime(2020, 1, 2, 3, 4, 5, 6), decimal.Decimal("1.25")),
+        (2**40, -3, float("nan"), "", False, datetime.date(1900, 1, 1),
+         datetime.datetime(1969, 12, 31, 23, 59, 59), decimal.Decimal("-3.00")),
+        (None,) * 8,
+    ]
+
+    @staticmethod
+    def _comparable(rows):
+        # NaN != NaN: compare it by name, and keep every value's type
+        return [
+            tuple(
+                ("nan",) if isinstance(v, float) and math.isnan(v) else (type(v), v)
+                for v in r
+            )
+            for r in rows
+        ]
+
+    def test_round_trip(self, spark):
+        df = local_frame(spark, self.ROWS, self.SCHEMA)
+        assert df.schema == self.SCHEMA
+        out = [tuple(r) for r in df.collect()]
+        assert self._comparable(out) == self._comparable(self.ROWS)
+
+    def test_no_rows(self, spark):
+        df = local_frame(spark, [], self.SCHEMA)
+        assert df.schema == self.SCHEMA and df.collect() == []

@@ -3,7 +3,9 @@ import time
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
+from pyspark.sql import SparkSession
 
 from repro.core.ast import Var, parse_program
 from repro.core.unify import (
@@ -553,6 +555,100 @@ class TestOneAction:
                              (2, 3, False, True)}
         if n_rules == 3:
             assert full["r_3"] == {(4, True, False)}
+
+    def test_warm_full_whynot(self, spark, monkeypatch):
+        # a ground head: the answer index decides whether its answer
+        # exists, so only the enumeration itself runs
+        catalog = Catalog(spark, license_db(spark, n=6, seed=0))
+        q = PQuestion(parse_ptuple("InvalidD('city_0')"), WHYNOT)
+
+        def ask():
+            return summarize(catalog, r1_program(), q, k=3, use_full=True)
+
+        cold, cold_actions = _actions_of(monkeypatch, spark, ask)
+        warm, actions = _actions_of(monkeypatch, spark, ask)
+        # the enumeration's row order is Spark's: compare all but the rows
+        assert warm.patterns and _summary_key(warm)[:3] == _summary_key(cold)[:3]
+        # cold: Q(D)'s answers, every domain in one collect, the enumeration
+        assert cold_actions == ["collect"] * 3
+        assert actions == ["collect"]
+
+
+class TestBindingsTransfer:
+    """The drawn bindings go to Spark as one Arrow-built local relation:
+    no Python RDD is pickled for them, and the values, None included,
+    come back as drawn."""
+
+    @staticmethod
+    def _collected_plans(monkeypatch, spark, fn):
+        """fn()'s result and the optimized plan of every DataFrame it
+        collected."""
+        cls = type(spark.range(1))
+        orig = vars(cls)["collect"]
+        plans = []
+
+        def collect(df):
+            plans.append(df._jdf.queryExecution().optimizedPlan().toString())
+            return orig(df)
+
+        with monkeypatch.context() as m:
+            m.setattr(cls, "collect", collect)
+            out = fn()
+        return out, plans
+
+    def test_warm_r1_whynot_plan_reads_a_local_relation(self, spark, monkeypatch):
+        catalog = Catalog(spark, license_db(spark, n=300, seed=0))
+        prog = r1_program()
+
+        def ask(city, seed):
+            q = PQuestion(parse_ptuple(f"InvalidD('{city}')"), WHYNOT)
+            return summarize(catalog, prog, q, k=3, n_s=50, seed=seed)
+
+        ask("city_0", 1)
+        s, (plan,) = self._collected_plans(
+            monkeypatch, spark, lambda: ask("city_7", 2)
+        )
+        assert s.patterns
+        assert "LocalRelation" in plan and "LogicalRDD" not in plan
+
+    def test_no_python_list_reaches_create_data_frame(self, spark, monkeypatch):
+        tables = license_db(spark, n=300, seed=0)
+        passed = []
+        orig = SparkSession.createDataFrame
+
+        def create(self, data, *args, **kwargs):
+            passed.append(type(data))
+            return orig(self, data, *args, **kwargs)
+
+        monkeypatch.setattr(SparkSession, "createDataFrame", create)
+        catalog = Catalog(spark, tables)
+        for text, qtype in (("InvalidD(C)", WHY), ("InvalidD('city_0')", WHYNOT),
+                            ("InvalidD('city_7')", WHYNOT)):
+            q = PQuestion(parse_ptuple(text), qtype)
+            assert summarize(catalog, r1_program(), q, k=3, n_s=50).patterns
+        assert set(passed) == {pa.Table}
+
+    def test_null_in_domains_matches_full(self, spark):
+        # Q(D) = {Q(1), Q(4)}; X's domain {1, 2, 4, None} and Y's domain
+        # {1, 2, None} both hold a NULL. A None binding has no join
+        # partner: R(None, 2) exists, yet (None, 2)'s positive goal is F
+        catalog = Catalog(spark, {
+            "R": spark.createDataFrame(
+                [(1, 1), (2, 2), (None, 2), (4, None)], "a long, b long"
+            ),
+            "S": spark.createDataFrame([(2,)], "a long"),
+        })
+        prog = parse_program("Q(X) :- R(X, Y), not S(Y).")
+        t = parse_ptuple("Q(X)")
+        ((_, full_df),) = whynot_full(catalog, prog, t)
+        full = canonical_sort(full_df.collect())
+        assert full == [
+            (2, 1, False, True), (2, 2, True, False), (2, None, False, True),
+            (None, 1, False, True), (None, 2, False, False),
+            (None, None, False, True),
+        ]
+        (rs,) = sample_whynot(catalog, prog, t, n_s=50, seed=0)
+        assert rs.rows == full and rs.n_survivors == len(full)
 
 
 class TestEdgeCases:
