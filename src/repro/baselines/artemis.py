@@ -47,7 +47,6 @@ def artemis_explain(
     max_derivations: int = 2_000_000,
 ) -> ArtemisExplanation:
     """Enumerate Whynot(Q, D, t) and generalize per goal-annotation group."""
-    result = catalog.result(program)
     patterns: list[Pattern] = []
     total = 0
     for u in unify_program(program, t):
@@ -56,9 +55,7 @@ def artemis_explain(
             raise ArtemisTimeout(
                 f"derivation space of {n_space} exceeds budget {max_derivations}"
             )
-        full = whynot_full_rule(
-            catalog, program, u, result=result, max_derivations=max_derivations
-        )
+        full = whynot_full_rule(catalog, program, u, max_derivations=max_derivations)
         var_cols = [v.name for v in u.unbound]
         goal_cols = goal_column_names(u.n_goals)
         # per goal-annotation group: count + per-position min/max to

@@ -4,8 +4,9 @@ The paper assumes the user specifies the domain 𝔻_A of each attribute A
 as a unary query (with "reasonable defaults"). Our default is the active
 domain of the attribute — ``SELECT DISTINCT col FROM rel`` — and
 variable domains are unions of the domains of the attributes the
-variable is bound to (``attrs(X)`` in Sec. 5.2). Overrides can be
-registered per attribute for experiments that need a fixed 𝔻.
+variable is bound to (``attrs(X)`` in Sec. 5.2). :meth:`Catalog.set_domain`
+overrides 𝔻_A for one attribute; it is the one way to fix a domain, e.g.
+Fig. 3's 𝔻 = {1,…,6}.
 
 Domains, the query result Q(D), the goal relations and each rule's
 successful derivations depend on the database and the query, not on the

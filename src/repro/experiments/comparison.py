@@ -43,6 +43,7 @@ def run_artemis_comparison(
         db = witness_db(spark, n=n, seed=seed)
         catalog = Catalog(spark, db)
         n_s = max(10, int(n * sample_frac))
+        spark.catalog.clearCache()
         t0 = time.perf_counter()
         s = summarize(
             catalog, program, PQuestion(t, WHYNOT), k=k, n_s=n_s, seed=seed
@@ -55,10 +56,11 @@ def run_artemis_comparison(
             "pug_top_info": s.patterns[0].info() if s.patterns else None,
             "pug_top_cp": s.patterns[0].cp if s.patterns else None,
         }
+        # a catalog of its own and an empty Spark cache: no reuse of the
+        # domains, Q(D) and goal projections that PUG-Summ's run left
+        spark.catalog.clearCache()
         t0 = time.perf_counter()
         try:
-            # a catalog of its own: no reuse of the domains and Q(D) that
-            # PUG-Summ's run left on the first one
             art = artemis_explain(
                 Catalog(spark, db), program, t, max_derivations=artemis_budget
             )
@@ -86,11 +88,13 @@ def run_single_derivation_comparison(
         db = spec.build_db(spark, n, seed)
         catalog = Catalog(spark, db)
         t = spec.ptuple(catalog, program, WHYNOT)
+        spark.catalog.clearCache()
         t0 = time.perf_counter()
         d = single_derivation(catalog, program, t, seed=seed)
         t_single = time.perf_counter() - t0
-        # a catalog of its own: no reuse of the single-derivation run's
-        # domains and Q(D)
+        # a catalog of its own and an empty Spark cache: no reuse of the
+        # single-derivation run's domains, Q(D) and goal projections
+        spark.catalog.clearCache()
         t0 = time.perf_counter()
         s = summarize(
             Catalog(spark, db), program, PQuestion(t, WHYNOT), k=k, n_s=n_s,

@@ -42,18 +42,13 @@ from pyspark.sql.types import BooleanType, StructField, StructType
 from repro.core.ast import Program, Var
 from repro.core.unify import PTuple, UnifiedRule, unify_program
 from repro.engine.catalog import AnswerIndex, Catalog, canonical_sort
-from repro.engine.eval import comparison_column
 from repro.engine.tagged import collect_tagged, local_frame
-from repro.provenance.annotate import (
-    annotate_goals,
-    anti_join_existing,
-    goal_column_names,
-    head_constants,
-)
+from repro.provenance.annotate import goal_column_names, head_constants
 from repro.provenance.whynot_full import (
     fill_variable_domains,
     split_comparisons,
     variable_values,
+    whynot_derivations,
 )
 from repro.sampling.ops import sample_with_replacement
 from repro.sampling.oversample import (
@@ -85,17 +80,21 @@ class RuleSample:
 
 
 def _existing_answers(
-    answers: AnswerIndex, unified: UnifiedRule, domains: dict[str, set]
+    answers: AnswerIndex, unified: UnifiedRule, values: dict[str, set]
 ) -> int:
     """How many existing answers a draw can hit: the answers σ_t selects
     whose value for every head variable lies in that variable's domain
-    (one value per variable, where the head repeats it)."""
+    (one value per variable, where the head repeats it). An answer with a
+    NULL there is not counted: Q_der's anti-join compares with SQL ``=``,
+    which never removes a derivation of it."""
     head = unified.rule.head.args
     n = 0
     for row in answers.matching(head_constants(unified)):
         seen: dict[str, object] = {}
         n += all(
-            row[i] in domains[a.name] and seen.setdefault(a.name, row[i]) == row[i]
+            row[i] is not None
+            and row[i] in values[a.name]
+            and seen.setdefault(a.name, row[i]) == row[i]
             for i, a in enumerate(head)
             if isinstance(a, Var)
         )
@@ -118,9 +117,7 @@ def _draw(
     answers: AnswerIndex,
     unified: UnifiedRule,
     n_s: int,
-    p_success: float,
     seed: int,
-    domains: dict[str, DataFrame] | None,
     max_n_os: int,
 ) -> _Draw | RuleSample:
     """Domains, n_OS and the draws of one rule, all on the driver; a rule
@@ -129,7 +126,7 @@ def _draw(
     fields: list[StructField] = []
     values: list[tuple] = []
     for var in unified.unbound:
-        field, vals = variable_values(catalog, unified, var, domains)
+        field, vals = variable_values(catalog, unified, var)
         fields.append(field)
         values.append(vals)
     goals = goal_column_names(unified.n_goals)
@@ -156,7 +153,7 @@ def _draw(
     if n_s / p_prov > max_n_os:
         n_os = max_n_os  # binomial target unreachable within the cap
     else:
-        n_os = min_oversample_size(n_s, p_prov, p_success)
+        n_os = min_oversample_size(n_s, p_prov)
     n_os = min(max_n_os, max(n_s, int(n_os / max(sel, 1e-6)) + 1))
     sample.n_os, sample.p_prov, sample.capped = n_os, p_prov, n_os == max_n_os
     sample.est_whynot_size = p_prov * n_all * sel
@@ -170,21 +167,15 @@ def _draw(
     return _Draw(sample, fields, bindings, rng)
 
 
-def _plan(catalog: Catalog, result: DataFrame, draw: _Draw) -> DataFrame:
-    """Steps 1–3 of one rule as a lazy plan over its drawn bindings."""
-    unified = draw.sample.unified
+def _plan(catalog: Catalog, program: Program, draw: _Draw) -> DataFrame:
+    """Steps 1–3 of one rule as a lazy plan over its drawn bindings; with
+    a ground head the answer index already decided that its answer is
+    missing."""
     if draw.fields:
         bind = local_frame(catalog.spark, draw.bindings, StructType(draw.fields))
     else:  # fully bound question: the single empty valuation
         bind = catalog.spark.range(1).drop("id")
-    for c in split_comparisons(unified)[1]:
-        bind = bind.filter(comparison_column(c))
-    # --- step 2: Q_der — drop derivations of existing answers; with a
-    # ground head the answer index already decided it (none exist) ---
-    if any(isinstance(a, Var) for a in unified.rule.head.args):
-        bind = anti_join_existing(bind, result, unified)
-    # --- step 3: Q_sample — goal annotations ---
-    return annotate_goals(catalog, unified, bind)
+    return whynot_derivations(catalog, program, draw.sample.unified, bind)
 
 
 def _sample_rules(
@@ -193,23 +184,20 @@ def _sample_rules(
     rules: list[UnifiedRule],
     seeds: list[int],
     n_s: int,
-    p_success: float,
-    domains: dict[str, DataFrame] | None,
     max_n_os: int,
 ) -> list[RuleSample]:
     """Sample every rule in ``rules``: all draws first, on the driver, so
     every rule's n_OS is known before Spark runs; then one collected plan
     for all rules; then each rule's n_S cut."""
     answers = catalog.answers(program)
-    fill_variable_domains(catalog, rules, domains)
+    fill_variable_domains(catalog, rules)
     draws = [
-        _draw(catalog, answers, u, n_s, p_success, seed, domains, max_n_os)
+        _draw(catalog, answers, u, n_s, seed, max_n_os)
         for u, seed in zip(rules, seeds)
     ]
     pending = [d for d in draws if isinstance(d, _Draw)]
     if pending:
-        result = catalog.result(program)
-        collected = collect_tagged([_plan(catalog, result, d) for d in pending])
+        collected = collect_tagged([_plan(catalog, program, d) for d in pending])
         for d, rows in zip(pending, collected):
             survivors = canonical_sort(rows)
             if len(survivors) > n_s:
@@ -226,9 +214,7 @@ def sample_whynot_rule(
     program: Program,
     unified: UnifiedRule,
     n_s: int,
-    p_success: float = 0.999,
     seed: int = 0,
-    domains: dict[str, DataFrame] | None = None,
     max_n_os: int = 5_000_000,
 ) -> RuleSample:
     """Sample ≤ n_S annotated derivations from Whynot restricted to one rule.
@@ -237,9 +223,7 @@ def sample_whynot_rule(
     has no derivations, hence no why-not provenance: its sample is empty
     and ``n_os`` is 0.
     """
-    (sample,) = _sample_rules(
-        catalog, program, [unified], [seed], n_s, p_success, domains, max_n_os
-    )
+    (sample,) = _sample_rules(catalog, program, [unified], [seed], n_s, max_n_os)
     return sample
 
 
@@ -248,9 +232,7 @@ def sample_whynot(
     program: Program,
     t: PTuple,
     n_s: int,
-    p_success: float = 0.999,
     seed: int = 0,
-    domains: dict[str, DataFrame] | None = None,
     max_n_os: int = 5_000_000,
 ) -> list[RuleSample]:
     """Sample Whynot(Q, D, t): per-rule samples for every rule of the UCQ.
@@ -261,6 +243,4 @@ def sample_whynot(
     """
     rules = unify_program(program, t)
     seeds = [seed + 1000 * i for i in range(len(rules))]
-    return _sample_rules(
-        catalog, program, rules, seeds, n_s, p_success, domains, max_n_os
-    )
+    return _sample_rules(catalog, program, rules, seeds, n_s, max_n_os)

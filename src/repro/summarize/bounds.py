@@ -39,7 +39,7 @@ def s_lb(patterns: Sequence[Pattern]) -> list[Pattern]:
     n = len(patterns)
     if n == 0:
         return []
-    if n > 20:  # pragma: no cover - guarded by max_patterns/k upstream
+    if n > 20:  # pragma: no cover - guarded by MAX_PATTERNS/k upstream
         raise ValueError("exact disjoint-subset search limited to 20 patterns")
     adj = [
         [disjoint(patterns[i], patterns[j]) for j in range(n)] for i in range(n)

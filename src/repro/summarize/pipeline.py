@@ -21,7 +21,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 
-from pyspark.sql import DataFrame, Observation
+from pyspark.sql import Observation
 from pyspark.sql import functions as F
 
 from repro.core.ast import Program
@@ -36,6 +36,12 @@ from repro.provenance.whynot_full import whynot_full
 from repro.sampling.whynot import sample_whynot
 from repro.summarize.metrics import SampleStore, harmonic, info_of_set
 from repro.summarize.topk import SearchResult, rank_key, topk_bestfirst
+
+#: Candidates kept for the top-k search, strongest first (DESIGN.md).
+MAX_PATTERNS = 64
+#: Pop budget of the top-k search; past it the best complete candidate
+#: found is returned with ``proved_optimal = False``.
+MAX_POPS = 20_000
 
 
 @dataclass
@@ -81,9 +87,7 @@ def _capture(
     program: Program,
     question: PQuestion,
     n_s: int,
-    p_success: float,
     seed: int,
-    domains: dict[str, DataFrame] | None,
     use_full: bool,
     max_n_os: int,
     max_full_derivations: int | None,
@@ -132,25 +136,18 @@ def _capture(
                 )
         return out
     if use_full:
-        for u, df in whynot_full(
-            catalog, program, question.ptuple, domains, max_full_derivations
-        ):
-            rows = _split(u, df.collect())
+        full = whynot_full(catalog, program, question.ptuple, max_full_derivations)
+        # every rule's enumeration in one action
+        collected = collect_tagged([df for _, df in full]) if full else []
+        for (u, _), rows in zip(full, collected):
             if rows:
                 out.append(
-                    (u, rows, float(len(rows)),
+                    (u, _split(u, rows), float(len(rows)),
                      {"n_survivors": len(rows), "capped": False})
                 )
         return out
     for rs in sample_whynot(
-        catalog,
-        program,
-        question.ptuple,
-        n_s,
-        p_success=p_success,
-        seed=seed,
-        domains=domains,
-        max_n_os=max_n_os,
+        catalog, program, question.ptuple, n_s, seed=seed, max_n_os=max_n_os
     ):
         rows = _split(rs.unified, rs.rows)
         if rows:
@@ -182,9 +179,7 @@ def pattern_inputs(
     program: Program,
     question: PQuestion,
     n_s: int = 1000,
-    p_success: float = 0.999,
     seed: int = 0,
-    domains: dict[str, DataFrame] | None = None,
     use_full: bool = False,
     max_n_os: int = 5_000_000,
     max_full_derivations: int | None = 5_000_000,
@@ -196,8 +191,8 @@ def pattern_inputs(
     # --- phase 1: capture / sampling, collected once and integer-coded ---
     t0 = time.perf_counter()
     captured = _capture(
-        catalog, program, question, n_s, p_success, seed, domains,
-        use_full, max_n_os, max_full_derivations,
+        catalog, program, question, n_s, seed, use_full, max_n_os,
+        max_full_derivations,
     )
     store = SampleStore()
     for u, rows, raw_weight, _ in captured:
@@ -247,17 +242,12 @@ def pattern_inputs(
     )
 
 
-def select_topk(
-    inputs: PatternInputs,
-    k: int,
-    max_patterns: int = 64,
-    max_pops: int = 20_000,
-) -> SearchResult:
-    """Phase 4: prune to the strongest candidates by singleton score,
-    then cp, then canonical order (heuristic cap, see DESIGN.md), and run
-    the best-first search."""
-    pruned = heapq.nsmallest(max_patterns, inputs.patterns, key=rank_key)
-    return topk_bestfirst(pruned, k, inputs.store, max_pops=max_pops)
+def select_topk(inputs: PatternInputs, k: int) -> SearchResult:
+    """Phase 4: prune to the ``MAX_PATTERNS`` strongest candidates by
+    singleton score, then cp, then canonical order (heuristic cap, see
+    DESIGN.md), and run the best-first search."""
+    pruned = heapq.nsmallest(MAX_PATTERNS, inputs.patterns, key=rank_key)
+    return topk_bestfirst(pruned, k, inputs.store, max_pops=MAX_POPS)
 
 
 def summarize(
@@ -266,11 +256,7 @@ def summarize(
     question: PQuestion,
     k: int = 3,
     n_s: int = 1000,
-    p_success: float = 0.999,
     seed: int = 0,
-    domains: dict[str, DataFrame] | None = None,
-    max_patterns: int = 64,
-    max_pops: int = 20_000,
     use_full: bool = False,
     max_n_os: int = 5_000_000,
     max_full_derivations: int | None = 5_000_000,
@@ -278,16 +264,8 @@ def summarize(
     """Compute the top-k provenance summary S(Q, D, Φ, k)."""
     t_start = time.perf_counter()
     inputs = pattern_inputs(
-        catalog,
-        program,
-        question,
-        n_s=n_s,
-        p_success=p_success,
-        seed=seed,
-        domains=domains,
-        use_full=use_full,
-        max_n_os=max_n_os,
-        max_full_derivations=max_full_derivations,
+        catalog, program, question, n_s=n_s, seed=seed, use_full=use_full,
+        max_n_os=max_n_os, max_full_derivations=max_full_derivations,
     )
     timings = dict(inputs.timings)
     store = inputs.store
@@ -301,9 +279,7 @@ def summarize(
 
     # --- phase 4: top-k construction ---
     t0 = time.perf_counter()
-    result: SearchResult = select_topk(
-        inputs, k, max_patterns=max_patterns, max_pops=max_pops
-    )
+    result: SearchResult = select_topk(inputs, k)
     timings["topk"] = time.perf_counter() - t0
 
     completeness = store.cp_of_set(result.patterns)

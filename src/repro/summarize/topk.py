@@ -104,7 +104,7 @@ def topk_bestfirst(
     patterns: Sequence[Pattern],
     k: int,
     store: SampleStore,
-    max_pops: int = 100_000,
+    max_pops: int = 20_000,
 ) -> SearchResult:
     """Best-first search for the top-k summary, scored exactly over the
     sample held by ``store``."""

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.unify import WHY, WHYNOT, PQuestion, parse_ptuple
 from repro.datasets.airbnb import airbnb_program, s_airbnb
-from repro.datasets.graph_r import graph_r, rex_program
+from repro.datasets.graph_r import rex_catalog, rex_program
 from repro.datasets.license import license_db, r1_program
 from repro.datasets.movies import movies, r4_program
 from repro.core.ast import parse_program
@@ -27,9 +27,7 @@ def airbnb(spark):
 
 @pytest.fixture(scope="module")
 def rex(spark):
-    catalog = Catalog(spark, graph_r(spark))
-    dom = spark.createDataFrame(pd.DataFrame({"v": [1, 2, 3, 4, 5, 6]}))
-    return catalog, rex_program(), {"X": dom, "Z": dom}
+    return rex_catalog(spark), rex_program()
 
 
 class TestWhynotPipeline:
@@ -71,20 +69,18 @@ class TestWhynotPipeline:
             assert s.timings[key] >= 0
 
     def test_rex_full_equals_known(self, rex):
-        catalog, prog, domains = rex
+        catalog, prog = rex
         s = summarize_whynot(
-            catalog, prog, parse_ptuple("Qex(X, 4)"), k=2, use_full=True,
-            domains=domains,
+            catalog, prog, parse_ptuple("Qex(X, 4)"), k=2, use_full=True
         )
         # the dominant group (F,F) has 8/12 of the provenance; the top-2
         # summary must cover well over half of it
         assert s.completeness >= 0.5
 
     def test_existing_answer_empty_summary(self, rex):
-        catalog, prog, domains = rex
+        catalog, prog = rex
         s = summarize_whynot(
-            catalog, prog, parse_ptuple("Qex(1, 4)"), domains=domains,
-            use_full=True,
+            catalog, prog, parse_ptuple("Qex(1, 4)"), use_full=True
         )
         assert s.patterns == ()
         assert s.completeness == 0.0
@@ -118,7 +114,7 @@ class TestWhynotPipeline:
 
 class TestWhyPipeline:
     def test_rex_why(self, rex):
-        catalog, prog, _ = rex
+        catalog, prog = rex
         s = summarize_why(catalog, prog, parse_ptuple("Qex(X, Y)"), k=2)
         assert s.patterns
         # why derivations have all goals T

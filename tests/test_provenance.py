@@ -13,7 +13,7 @@ from repro.core.unify import (
     unify_rule,
 )
 from repro.datasets.airbnb import airbnb_program, s_airbnb
-from repro.datasets.graph_r import graph_r, rex_program
+from repro.datasets.graph_r import graph_r, rex_catalog, rex_program
 from repro.datasets.license import license_db, r1_program, r2_program
 from repro.datasets.movies import movies, r4_program
 from repro.engine.catalog import Catalog
@@ -31,10 +31,7 @@ from tests.test_sampling import _actions_of
 
 @pytest.fixture(scope="module")
 def rex(spark):
-    catalog = Catalog(spark, graph_r(spark))
-    prog = rex_program()
-    dom = spark.createDataFrame(pd.DataFrame({"v": [1, 2, 3, 4, 5, 6]}))
-    return catalog, prog, {"X": dom, "Z": dom}
+    return rex_catalog(spark), rex_program()
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +41,7 @@ def airbnb(spark):
 
 class TestWhy:
     def test_rex_why_all_goals_true(self, rex):
-        catalog, prog, _ = rex
+        catalog, prog = rex
         u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
         d = why_derivations(catalog, u)
         rows = {(r["X"], r["Z"], r["g1"], r["g2"]) for r in d.collect()}
@@ -52,7 +49,7 @@ class TestWhy:
         assert rows == {(1, 2, True, True)}
 
     def test_why_provenance_multi(self, rex):
-        catalog, prog, _ = rex
+        catalog, prog = rex
         pairs = why_provenance(catalog, prog, parse_ptuple("Qex(X, Y)"))
         assert len(pairs) == 1
         u, df = pairs[0]
@@ -148,29 +145,29 @@ class TestWhyFromCatalog:
 
 class TestWhynotFull:
     def test_rex_counts(self, rex):
-        catalog, prog, domains = rex
+        catalog, prog = rex
         u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
         # X < 4 pre-filters X's domain to {1,2,3}; Z keeps 6 values
-        assert count_all_derivations(catalog, u, domains) == 18
+        assert count_all_derivations(catalog, u) == 18
 
     def test_rex_all_valuations(self, rex):
-        catalog, prog, domains = rex
+        catalog, prog = rex
         u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
-        vals = all_valuations(catalog, u, domains)
+        vals = all_valuations(catalog, u)
         assert vals.count() == 18
         assert set(vals.columns) == {"X", "Z"}
 
     def test_rex_whynot_is_12(self, rex):
         # 18 valuations minus the 6 derivations of existing answer (1,4)
-        catalog, prog, domains = rex
-        full = whynot_full(catalog, prog, parse_ptuple("Qex(X, 4)"), domains)
+        catalog, prog = rex
+        full = whynot_full(catalog, prog, parse_ptuple("Qex(X, 4)"))
         (_, df), = full
         assert df.count() == 12
         assert {r["X"] for r in df.collect()} == {2, 3}
 
     def test_example6_annotations(self, rex):
-        catalog, prog, domains = rex
-        full = whynot_full(catalog, prog, parse_ptuple("Qex(X, 4)"), domains)
+        catalog, prog = rex
+        full = whynot_full(catalog, prog, parse_ptuple("Qex(X, 4)"))
         (_, df), = full
         rows = {(r["X"], r["Z"]): (r["g1"], r["g2"]) for r in df.collect()}
         assert rows[(2, 2)] == (False, True)   # R(2,2) missing, R(2,4) exists
@@ -209,16 +206,16 @@ class TestWhynotFull:
             )
 
     def test_fully_bound_missing_head(self, rex):
-        catalog, prog, domains = rex
+        catalog, prog = rex
         t = parse_ptuple("Qex(2, 4)")  # missing answer, X bound too
-        full = whynot_full(catalog, prog, t, domains)
+        full = whynot_full(catalog, prog, t)
         (_, df), = full
         assert df.count() == 6  # all Z values, head is missing
 
     def test_fully_bound_existing_head(self, rex):
-        catalog, prog, domains = rex
+        catalog, prog = rex
         t = parse_ptuple("Qex(1, 4)")  # existing answer → empty why-not
-        full = whynot_full(catalog, prog, t, domains)
+        full = whynot_full(catalog, prog, t)
         (_, df), = full
         assert df.count() == 0
 
@@ -252,7 +249,7 @@ class TestAnnotate:
         assert annotate_goals(catalog, u, deriv).count() == 2
 
     def test_anti_join_existing(self, rex):
-        catalog, prog, _ = rex
+        catalog, prog = rex
         u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
         result = evaluate(catalog, prog)
         deriv = catalog.spark.createDataFrame(

@@ -17,7 +17,7 @@ from repro.core.unify import (
     unify_rule,
 )
 from repro.datasets.airbnb import airbnb_program, s_airbnb
-from repro.datasets.graph_r import graph_r, rex_program
+from repro.datasets.graph_r import graph_r, rex_catalog, rex_program
 from repro.datasets.license import license_db, r1_program, r2_program
 from repro.engine.catalog import Catalog, canonical_sort
 from repro.engine.eval import successful_derivations
@@ -34,10 +34,15 @@ def _records(rs):
 
 @pytest.fixture(scope="module")
 def rex(spark):
-    catalog = Catalog(spark, graph_r(spark))
-    prog = rex_program()
-    dom = spark.createDataFrame(pd.DataFrame({"v": [1, 2, 3, 4, 5, 6]}))
-    return catalog, prog, {"X": dom, "Z": dom}
+    return rex_catalog(spark), rex_program()
+
+
+def _rex_with_x(spark, values):
+    """The rex catalog with X's attribute R.a overridden by ``values``;
+    attrs(Z) = {R.b, R.a}, so Z keeps {1,…,6}."""
+    catalog = rex_catalog(spark)
+    catalog.set_domain("R", 0, spark.createDataFrame(pd.DataFrame({"v": values})))
+    return catalog
 
 
 @pytest.fixture(scope="module")
@@ -82,18 +87,14 @@ class TestOps:
 
 class TestSampleWhynot:
     def test_sample_subset_of_whynot(self, rex):
-        catalog, prog, domains = rex
+        catalog, prog = rex
         u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
-        rs = sample_whynot_rule(
-            catalog, prog, u, n_s=30, seed=0, domains=domains
-        )
+        rs = sample_whynot_rule(catalog, prog, u, n_s=30, seed=0)
         rows = {(r["X"], r["Z"], r["g1"], r["g2"]) for r in _records(rs)}
         assert rows  # non-empty
         from repro.provenance.whynot_full import whynot_full
 
-        (_, full_df), = whynot_full(
-            catalog, prog, parse_ptuple("Qex(X, 4)"), domains
-        )
+        (_, full_df), = whynot_full(catalog, prog, parse_ptuple("Qex(X, 4)"))
         full = {
             (r["X"], r["Z"], r["g1"], r["g2"]) for r in full_df.collect()
         }
@@ -102,35 +103,27 @@ class TestSampleWhynot:
     def test_large_sample_covers_everything(self, rex):
         # n_S >> |Whynot| (12): the distinct sampled derivations must
         # converge to the full set
-        catalog, prog, domains = rex
+        catalog, prog = rex
         u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
-        rs = sample_whynot_rule(
-            catalog, prog, u, n_s=500, seed=1, domains=domains
-        )
+        rs = sample_whynot_rule(catalog, prog, u, n_s=500, seed=1)
         assert len(rs.rows) == 12
 
     def test_predicate_respected(self, rex):
-        catalog, prog, domains = rex
+        catalog, prog = rex
         u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
-        rs = sample_whynot_rule(
-            catalog, prog, u, n_s=50, seed=2, domains=domains
-        )
+        rs = sample_whynot_rule(catalog, prog, u, n_s=50, seed=2)
         assert all(r["X"] < 4 for r in _records(rs))
 
     def test_no_existing_answer_heads(self, rex):
-        catalog, prog, domains = rex
+        catalog, prog = rex
         u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
-        rs = sample_whynot_rule(
-            catalog, prog, u, n_s=50, seed=3, domains=domains
-        )
+        rs = sample_whynot_rule(catalog, prog, u, n_s=50, seed=3)
         assert all(r["X"] != 1 for r in _records(rs))
 
     def test_p_prov_and_n_os(self, rex):
-        catalog, prog, domains = rex
+        catalog, prog = rex
         u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
-        rs = sample_whynot_rule(
-            catalog, prog, u, n_s=10, seed=0, domains=domains
-        )
+        rs = sample_whynot_rule(catalog, prog, u, n_s=10, seed=0)
         # one existing answer over the 3-value filtered X domain
         assert rs.p_prov == pytest.approx(1 - 1 / 3)
         assert rs.n_os >= 10
@@ -176,13 +169,11 @@ class TestSampleWhynot:
     def test_sampling_is_roughly_uniform(self, rex):
         # Theorem 1: each of the 12 why-not derivations should appear
         # with similar frequency across repeated small samples
-        catalog, prog, domains = rex
+        catalog, prog = rex
         u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
         counts: dict = {}
         for seed in range(12):
-            rs = sample_whynot_rule(
-                catalog, prog, u, n_s=4, seed=seed * 13, domains=domains
-            )
+            rs = sample_whynot_rule(catalog, prog, u, n_s=4, seed=seed * 13)
             for r in _records(rs):
                 counts[(r["X"], r["Z"])] = counts.get((r["X"], r["Z"]), 0) + 1
         assert len(counts) >= 9  # most derivations were seen at least once
@@ -190,68 +181,57 @@ class TestSampleWhynot:
     def test_empty_theta_x_domain_gives_empty_sample(self, rex, spark):
         # the rule requires X < 4: a domain of X values ≥ 4 leaves no
         # derivation, hence no why-not provenance
-        catalog, prog, domains = rex
-        high = spark.createDataFrame(pd.DataFrame({"v": [4, 5, 6]}))
+        _, prog = rex
+        catalog = _rex_with_x(spark, [4, 5, 6])
         u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
-        rs = sample_whynot_rule(
-            catalog, prog, u, n_s=10, seed=0, domains={**domains, "X": high}
-        )
+        rs = sample_whynot_rule(catalog, prog, u, n_s=10, seed=0)
         assert rs.n_os == 0 and rs.n_survivors == 0
         assert len(rs.rows) == 0
         assert rs.schema.names == ["X", "Z", "g1", "g2"]
         s = summarize(
             catalog, prog, PQuestion(parse_ptuple("Qex(X, 4)"), WHYNOT),
-            k=3, n_s=10, domains={**domains, "X": high},
+            k=3, n_s=10,
         )
         assert s.patterns == () and s.per_rule == []
 
     def test_cap_reports_shortfall(self, rex):
-        catalog, prog, domains = rex
+        catalog, prog = rex
         u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
-        rs = sample_whynot_rule(
-            catalog, prog, u, n_s=10, seed=0, domains=domains, max_n_os=5
-        )
+        rs = sample_whynot_rule(catalog, prog, u, n_s=10, seed=0, max_n_os=5)
         assert rs.n_os == 5 and rs.capped
         assert 0 < rs.n_survivors < 10
         assert len(rs.rows) == rs.n_survivors
         s = summarize(
             catalog, prog, PQuestion(parse_ptuple("Qex(X, 4)"), WHYNOT),
-            k=1, n_s=10, domains=domains, max_n_os=5,
+            k=1, n_s=10, max_n_os=5,
         )
         (stats,) = s.per_rule
         assert stats["capped"] and stats["n_survivors"] == stats["n_sample"] < 10
 
     def test_uncapped_reports_survivors(self, rex):
-        catalog, prog, domains = rex
+        catalog, prog = rex
         u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
-        rs = sample_whynot_rule(
-            catalog, prog, u, n_s=5, seed=0, domains=domains
-        )
+        rs = sample_whynot_rule(catalog, prog, u, n_s=5, seed=0)
         assert not rs.capped
         assert len(rs.rows) == 5 < rs.n_survivors <= 12
 
     def test_rows_are_the_sample(self, rex):
-        catalog, prog, domains = rex
+        catalog, prog = rex
         u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
-        rs = sample_whynot_rule(
-            catalog, prog, u, n_s=5, seed=0, domains=domains
-        )
+        rs = sample_whynot_rule(catalog, prog, u, n_s=5, seed=0)
         assert len(rs.rows) == 5
         assert all(len(r) == len(rs.schema) for r in rs.rows)
         assert all(isinstance(g, bool) for r in rs.rows for g in r[2:])
 
-
     def test_p_prov_counts_only_answers_in_the_domain(self, rex, spark):
         # the existing answer Qex(1, 4) lies outside X's domain {3}: no
         # draw can hit it, so every drawn derivation survives Q_der
-        catalog, prog, domains = rex
-        three = spark.createDataFrame(pd.DataFrame({"v": [3]}))
+        warm, prog = rex
         u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
-        sample_whynot_rule(catalog, prog, u, n_s=10, domains=domains)  # warm
+        sample_whynot_rule(warm, prog, u, n_s=10)  # warm
+        catalog = _rex_with_x(spark, [3])
         t0 = time.perf_counter()
-        rs = sample_whynot_rule(
-            catalog, prog, u, n_s=10, seed=0, domains={**domains, "X": three}
-        )
+        rs = sample_whynot_rule(catalog, prog, u, n_s=10, seed=0)
         assert time.perf_counter() - t0 < 15
         assert rs.p_prov == 1.0
         assert not rs.capped and rs.n_os <= 20
@@ -408,6 +388,22 @@ class TestCatalogReuse:
             assert variable_values(catalog, u1, B) == fresh_all
             assert catalog.domain_size([("LICENSE", 1)]) == len(fresh_all[1])
 
+    def test_set_domain_reaches_every_variable_of_the_attribute(self, spark):
+        # attrs(X) = {R.a}, attrs(Z) = {R.b, R.a}: overriding R.a fixes X
+        # and joins Z's union. Qex(X, Y) leaves X < Y to θ_join, so X's
+        # domain is not filtered.
+        u = unify_rule(rex_program().rules[0], parse_ptuple("Qex(X, Y)"))
+        X, Z = Var("X"), Var("Z")
+        catalog = _rex_with_x(spark, [4, 5, 6])
+        assert variable_values(catalog, u, X)[1] == (4, 5, 6)
+        assert variable_values(catalog, u, Z)[1] == (1, 2, 3, 4, 5, 6)
+        active = Catalog(spark, graph_r(spark))  # R.b's values are {2,…,6}
+        active.set_domain(
+            "R", 0, spark.createDataFrame(pd.DataFrame({"v": [4, 5, 6, 7]}))
+        )
+        assert variable_values(active, u, X)[1] == (4, 5, 6, 7)
+        assert variable_values(active, u, Z)[1] == (2, 3, 4, 5, 6, 7)
+
     def test_set_domain_replaces_cached_domain(self, spark):
         prog = airbnb_program()
         q = PQuestion(parse_ptuple("AL(N, shared)"), WHYNOT)
@@ -428,25 +424,6 @@ class TestCatalogReuse:
         assert _summary_key(after) == _summary_key(
             summarize(fresh, prog, q, k=3, n_s=30, seed=5)
         )
-
-    def test_domains_argument_is_never_cached(self, spark):
-        catalog = Catalog(spark, graph_r(spark))
-        prog = rex_program()
-        u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
-
-        def xs(domains=None):
-            rs = sample_whynot_rule(
-                catalog, prog, u, n_s=50, seed=0, domains=domains
-            )
-            return {r[0] for r in rs.rows}
-
-        own = xs()
-        for values in ([2, 3], [1, 3]):  # X = 1 has an answer: never why-not
-            dom = spark.createDataFrame(pd.DataFrame({"v": values}))
-            assert xs({"X": dom}) == set(values) - {1}
-        assert xs() == own
-        fresh = sample_whynot_rule(Catalog(spark, graph_r(spark)), prog, u, n_s=50)
-        assert {r[0] for r in fresh.rows} == own
 
 
 #: A tiny database for unions. Q(D) = {Q(1), Q(3)}, both from rule 1.
@@ -555,6 +532,15 @@ class TestOneAction:
                              (2, 3, False, True)}
         if n_rules == 3:
             assert full["r_3"] == {(4, True, False)}
+        # FULL on the warm catalog: every rule's enumeration in one collect
+        s, actions = _actions_of(
+            monkeypatch, spark,
+            lambda: summarize(catalog, prog, PQuestion(t, WHYNOT), use_full=True),
+        )
+        assert actions == ["collect"]
+        assert {r["rule_id"]: r["n_sample"] for r in s.per_rule} == {
+            rid: len(rows) for rid, rows in full.items() if rows
+        }
 
     def test_warm_full_whynot(self, spark, monkeypatch):
         # a ground head: the answer index decides whether its answer
@@ -657,7 +643,7 @@ class TestEdgeCases:
     ):
         # Qex(1, 4) exists: Whynot is empty. Once the catalog holds Q(D)
         # and Z's domain, that is decided without a Spark action.
-        catalog, prog, _ = rex
+        catalog, prog = rex
         q = PQuestion(parse_ptuple("Qex(1, 4)"), WHYNOT)
         summarize(catalog, prog, PQuestion(parse_ptuple("Qex(X, 4)"), WHYNOT),
                   n_s=5)  # warm
@@ -688,3 +674,21 @@ class TestEdgeCases:
         assert rs.n_os > 0 and rs.rows == [] and rs.n_survivors == 0
         ((_, full),) = whynot_full(catalog, prog, parse_ptuple("Q(X)"))
         assert full.count() == 0
+
+    def test_null_head_answer_is_not_counted_as_existing(self, spark):
+        # Q(D) = {Q(1), Q(NULL)}. Q_der's anti-join compares with SQL =,
+        # so it never removes the X = NULL derivations: only X = 1 has an
+        # answer the draws can hit, and p_prov is 2/3 of X's 3 values
+        catalog = Catalog(spark, {
+            "R": spark.createDataFrame(
+                [(1, 1), (None, 3), (2, 2)], "a long, b long"
+            ),
+            "S": spark.createDataFrame([(2,)], "a long"),
+        })
+        prog = parse_program("Q(X) :- R(X, Y), not S(Y).")
+        t = parse_ptuple("Q(X)")
+        (rs,) = sample_whynot(catalog, prog, t, n_s=50, seed=0)
+        assert rs.p_prov == pytest.approx(2 / 3)
+        ((_, full_df),) = whynot_full(catalog, prog, t)
+        full = set(map(tuple, full_df.collect()))
+        assert rs.rows and set(rs.rows) <= full
