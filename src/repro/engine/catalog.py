@@ -16,9 +16,16 @@ driver-side :class:`AnswerIndex`, each goal's projection and each base
 rule's successful derivations. A question applies its constants as
 filters on these relations. The domains a why-not question lacks are
 collected together, in one Spark action (:meth:`Catalog.fill_domains`).
+
+Questions reach the persisted relations through Spark SQL
+(``repro.engine.statement``): each is registered once as a temp view,
+together with Catalyst's size estimate of it, which decides whether a
+statement broadcasts it (:meth:`Catalog.goal_view`,
+:meth:`Catalog.result_view`, :meth:`Catalog.derivations_view`).
 """
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Hashable, Iterable, Sequence
 
 from pyspark.sql import DataFrame, SparkSession
@@ -27,12 +34,16 @@ from pyspark.sql.types import StructField
 
 from repro.core.ast import Atom, Program, Rule, Var
 from repro.engine.eval import atom_df, evaluate, successful_derivations
+from repro.engine.statement import View
 from repro.engine.tagged import collect_tagged
 
 #: An attribute occurrence: (relation name, 0-based column position).
 Occurrence = tuple[str, int]
 #: A collected unary domain: its column and its canonically sorted values.
 Values = tuple[StructField, tuple]
+
+#: Numbers catalogs, so that their temp views never share a name.
+_CATALOG_NO = itertools.count()
 
 
 def _key(row: Sequence) -> tuple:
@@ -86,6 +97,8 @@ class Catalog:
         self._answers: dict[Program, AnswerIndex] = {}
         self._goals: dict[Atom, DataFrame] = {}
         self._derivations: dict[Rule, DataFrame] = {}
+        self._views: dict[Hashable, View] = {}
+        self._view_prefix = f"repro_catalog{next(_CATALOG_NO)}_"
 
     def relation_names(self) -> list[str]:
         return sorted(self._tables)
@@ -211,6 +224,30 @@ class Catalog:
         return self._persisted(
             self._derivations, rule, lambda: successful_derivations(self, rule)
         )
+
+    def _view(self, key: Hashable, df: DataFrame) -> View:
+        """The temp view of the persisted ``df``, registered on first use
+        together with Catalyst's size estimate of ``df``."""
+        view = self._views.get(key)
+        if view is None:
+            name = f"{self._view_prefix}{len(self._views)}"
+            df.createOrReplaceTempView(name)
+            size = df._jdf.queryExecution().optimizedPlan().stats().sizeInBytes()
+            view = self._views[key] = View(name, int(size))
+        return view
+
+    def goal_view(self, atom: Atom) -> View:
+        """The view of :meth:`goal_projection`; ``atom``'s sign is ignored."""
+        key = Atom(atom.pred, atom.args)
+        return self._view(("goal", key), self.goal_projection(key))
+
+    def result_view(self, program: Program) -> View:
+        """The view of :meth:`result`, Q(D) with columns ``h0 … h{n-1}``."""
+        return self._view(("result", program), self.result(program))
+
+    def derivations_view(self, rule: Rule) -> View:
+        """The view of :meth:`derivations`."""
+        return self._view(("derivations", rule), self.derivations(rule))
 
 
 def attrs_of_vars(rule: Rule) -> dict[Var, list[Occurrence]]:

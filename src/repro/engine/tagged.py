@@ -1,9 +1,10 @@
 """Rows between the driver and Spark, in one transfer each way.
 
-Questions over a UCQ build one plan per rule, and a catalog's first
-why-not question needs one domain per variable. :func:`collect_tagged`
-runs such independent plans as one ``collect()``, so each question
-pays for one action, not one per plan. :func:`local_frame` is the other
+A catalog's first why-not question needs one domain per variable.
+:func:`collect_tagged` runs such independent DataFrame plans as one
+``collect()``, so the question pays for one action, not one per plan
+(a question's own plan is one Spark SQL statement, see
+``repro.engine.statement``). :func:`local_frame` is the other
 direction: rows drawn on the driver go back to Spark as a local relation
 built from an Arrow table, not as a pickled Python RDD.
 """

@@ -10,6 +10,7 @@ EXPERIMENTS.md quotes the flags each reported table was run with.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Callable, Sequence
 
@@ -170,16 +171,30 @@ def run(spark: SparkSession, argv: Sequence[str]) -> None:
     args.run_table(spark, args)
 
 
+def session_conf() -> dict[str, str]:
+    """The tables' session settings: 16 shuffle partitions, Arrow, no
+    automatic broadcast joins (the configuration EXPERIMENTS.md was
+    measured with), and the driver memory ``SPARK_DRIVER_MEM`` names, if
+    it is set (Spark's default of 1g is too small for 1M-row tables).
+    The question statements still broadcast small persisted relations
+    by hint (``repro.engine.statement``)."""
+    conf = {
+        "spark.sql.shuffle.partitions": "16",
+        "spark.sql.execution.arrow.pyspark.enabled": "true",
+        "spark.sql.autoBroadcastJoinThreshold": "-1",
+    }
+    if memory := os.environ.get("SPARK_DRIVER_MEM"):
+        conf["spark.driver.memory"] = memory
+    return conf
+
+
 def session() -> SparkSession:
-    """The tables' session: 16 shuffle partitions, Arrow, no broadcast joins
-    (the configuration EXPERIMENTS.md was measured with)."""
-    return (
-        SparkSession.builder.appName("repro.experiments")
-        .config("spark.sql.shuffle.partitions", "16")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    """A session with :func:`session_conf`'s settings; the driver memory
+    applies only when this call starts the JVM."""
+    builder = SparkSession.builder.appName("repro.experiments")
+    for key, value in session_conf().items():
+        builder = builder.config(key, value)
+    return builder.getOrCreate()
 
 
 def main(argv: Sequence[str] | None = None) -> None:

@@ -40,6 +40,7 @@ def run_perf_scaling(
         program = spec.program()
         t = spec.ptuple(catalog, program, qtype)
         question = PQuestion(t, qtype)
+        # why: filled in per row from the summary's exact count
         prov_size = (
             whynot_space(catalog, program, t) if qtype == WHYNOT else None
         )
@@ -67,6 +68,7 @@ def run_perf_scaling(
                             df.count()
                             for _, df in why_provenance(catalog, program, t)
                         )
+                        row["prov_size"] = n_prov
                         if n_prov > max(1, int(full_budget ** 0.5) * 8):
                             raise ValueError("FULL why over budget")
                     s = summarize(
@@ -86,6 +88,8 @@ def run_perf_scaling(
                 )
                 rows.append(row)
                 continue
+            if qtype == WHY:  # |Why|: each rule's count before its n_S cut
+                row["prov_size"] = sum(r["n_survivors"] for r in s.per_rule)
             row.update(
                 t_sample=s.timings["sample"],
                 t_pattern=s.timings["pattern_gen"],

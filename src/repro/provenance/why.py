@@ -7,23 +7,22 @@ bindings of all unbound variables and annotate every goal with T.
 
 Only σ_t depends on the question: the successful derivations of the
 base rule depend on (D, Q) alone. The catalog keeps them persisted
-(``Catalog.derivations``), and each question filters them by the
-constants it binds and by the unified rule's comparisons.
+(``Catalog.derivations_view``), and each question filters them by the
+constants it binds and by the unified rule's comparisons, in Spark SQL.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.ast import Program
 from repro.core.unify import PTuple, UnifiedRule, unify_program
 from repro.engine.catalog import Catalog
-from repro.engine.eval import comparison_column
+from repro.engine.statement import Statement, quote, where
 from repro.provenance.annotate import goal_column_names
 
 
-def why_derivations(catalog: Catalog, unified: UnifiedRule) -> DataFrame:
-    """Annotated why-provenance of one unified rule.
+def why_select(stmt: Statement, catalog: Catalog, unified: UnifiedRule) -> str:
+    """A SELECT of the annotated why-provenance of one unified rule.
 
     Columns: one per unbound variable, then ``g1 … gm`` (all True). The
     rows are those of ``successful_derivations(catalog, unified.rule)``:
@@ -32,15 +31,21 @@ def why_derivations(catalog: Catalog, unified: UnifiedRule) -> DataFrame:
     among them the equalities repeated placeholders add. The base rule's
     own comparisons hold already; applying them again changes nothing.
     """
-    deriv = catalog.derivations(unified.base)
-    for var, const in unified.binding.items():
-        deriv = deriv.filter(F.col(var.name) == F.lit(const.value))
-    for c in unified.rule.comparisons:
-        deriv = deriv.filter(comparison_column(c))
-    return deriv.select(
-        *[v.name for v in unified.unbound],
-        *[F.lit(True).alias(g) for g in goal_column_names(unified.n_goals)],
-    )
+    conds = [
+        f"{quote(var.name)} = {stmt.param(const.value)}"
+        for var, const in unified.binding.items()
+    ]
+    conds += [stmt.comparison(c) for c in unified.rule.comparisons]
+    cols = [quote(v.name) for v in unified.unbound]
+    cols += [f"true AS {g}" for g in goal_column_names(unified.n_goals)]
+    view = catalog.derivations_view(unified.base)
+    return f"SELECT {', '.join(cols)} FROM {view.name}{where(conds)}"
+
+
+def why_derivations(catalog: Catalog, unified: UnifiedRule) -> DataFrame:
+    """:func:`why_select` as a DataFrame."""
+    stmt = Statement(catalog.spark)
+    return stmt.dataframe(why_select(stmt, catalog, unified))
 
 
 def why_provenance(
@@ -48,3 +53,33 @@ def why_provenance(
 ) -> list[tuple[UnifiedRule, DataFrame]]:
     """Why(Q, D, t) per rule: [(unified rule, annotated derivations)]."""
     return [(u, why_derivations(catalog, u)) for u in unify_program(program, t)]
+
+
+def sample_why(
+    catalog: Catalog, program: Program, t: PTuple, n_s: int, seed: int
+) -> list[tuple[UnifiedRule, list[tuple], int]]:
+    """Why(Q, D, t) cut to n_S derivations per rule, with |Why| of each
+    rule, for the rules that have a derivation; one statement and one
+    ``collect()`` for all rules.
+
+    The cut is uniform and stays in Catalyst, because why provenance
+    grows with the database: rows are ordered by a seeded hash of the
+    row, then the row, an order that, unlike ``rand(seed)``, does not
+    depend on how Spark partitions the data. ``COUNT(*) OVER ()`` counts
+    the rows before the cut, so the same action yields |Why|.
+    """
+    rules = unify_program(program, t)
+    stmt = Statement(catalog.spark)
+    for u in rules:
+        names = [v.name for v in u.unbound] + goal_column_names(u.n_goals)
+        cols = ", ".join(map(quote, names))
+        stmt.add(
+            f"SELECT *, COUNT(*) OVER () AS __n FROM ({why_select(stmt, catalog, u)}) "
+            f"ORDER BY xxhash64({stmt.param(seed)}, {cols}), {cols} LIMIT {int(n_s)}",
+            len(names) + 1,
+        )
+    return [
+        (u, [r[:-1] for r in rows], rows[0][-1])
+        for u, rows in zip(rules, stmt.collect())
+        if rows
+    ]

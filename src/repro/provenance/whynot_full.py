@@ -4,10 +4,10 @@ Whynot(Q, D, t) for one unified rule r_t is materialized as the cross
 product of the per-variable domains, filtered by the rule's comparison
 predicates, anti-joined with the existing answers matching t, and
 goal-annotated; the sampler runs the same last three steps over its
-drawn bindings (:func:`whynot_derivations`). Its size is Θ(Π|𝔻_v|) —
-exponential in the number of unbound variables — which is exactly why
-the paper samples instead; we keep this implementation for small
-instances (tests, FULL comparisons) and guard it with
+drawn bindings (:func:`whynot_select`, a Spark SQL SELECT). Its size is
+Θ(Π|𝔻_v|) — exponential in the number of unbound variables — which is
+exactly why the paper samples instead; we keep this implementation for
+small instances (tests, FULL comparisons) and guard it with
 ``max_derivations``.
 """
 from __future__ import annotations
@@ -25,11 +25,8 @@ from repro.engine.catalog import (
     attrs_of_vars,
 )
 from repro.engine.eval import comparison_column
-from repro.provenance.annotate import (
-    annotate_goals,
-    anti_join_existing,
-    head_constants,
-)
+from repro.engine.statement import Statement, hint, quote, where
+from repro.provenance.annotate import annotate_select, head_constants
 
 
 def split_comparisons(
@@ -95,7 +92,7 @@ def fill_variable_domains(catalog: Catalog, rules: list[UnifiedRule]) -> None:
 def all_valuations(catalog: Catalog, unified: UnifiedRule) -> DataFrame:
     """All rule derivations of r_t: the cross product of the variable
     domains, one column per unbound variable. Only θ_X is applied (by the
-    domains); :func:`whynot_derivations` applies θ_join."""
+    domains); :func:`whynot_select` applies θ_join."""
     acc: DataFrame | None = None
     for var in unified.unbound:
         # one partition per domain: a cross product has the product of its
@@ -116,29 +113,47 @@ def count_all_derivations(catalog: Catalog, unified: UnifiedRule) -> int:
     return total
 
 
-def whynot_derivations(
-    catalog: Catalog, program: Program, unified: UnifiedRule, bind: DataFrame
-) -> DataFrame:
-    """Steps 2–3 of Sec. 5.2 as a lazy plan over candidate bindings
-    ``bind`` (one column per unbound variable): the θ_join filter, Q_der
-    (the anti-join with Q(D), only when the head has a variable: a ground
-    head's answer is looked up in the catalog's answer index instead),
-    then the goal annotations. FULL feeds it the domains' cross product,
-    the sampler its drawn bindings."""
-    for c in split_comparisons(unified)[1]:
-        bind = bind.filter(comparison_column(c))
-    if any(isinstance(a, Var) for a in unified.rule.head.args):
-        bind = anti_join_existing(bind, catalog.result(program), unified)
-    return annotate_goals(catalog, unified, bind)
+def der_select(
+    stmt: Statement, catalog: Catalog, program: Program, unified: UnifiedRule,
+    bind: str,
+) -> str:
+    """Q_der over candidate bindings ``bind`` (a relation with one column
+    per unbound variable): the θ_join filter, then, when the head has a
+    variable, the anti-join with σ_t(Q(D)). A ground head's answer is
+    looked up in the catalog's answer index instead."""
+    theta = [stmt.comparison(c) for c in split_comparisons(unified)[1]]
+    out = f"SELECT * FROM {bind}{where(theta)}"
+    keys = [(i, a) for i, a in enumerate(unified.rule.head.args) if isinstance(a, Var)]
+    if not keys:
+        return out
+    view = catalog.result_view(program)
+    sigma = [f"h{i} = {stmt.param(v)}" for i, v in head_constants(unified).items()]
+    on = " AND ".join(f"b.{quote(a.name)} = q.h{i}" for i, a in keys)
+    return (
+        f"SELECT {hint([('q', view)])}b.* FROM ({out}) b LEFT ANTI JOIN "
+        f"(SELECT * FROM {view.name}{where(sigma)}) q ON {on}"
+    )
 
 
-def whynot_full_rule(
+def whynot_select(
+    stmt: Statement, catalog: Catalog, program: Program, unified: UnifiedRule,
+    bind: str,
+) -> str:
+    """Steps 2–3 of Sec. 5.2 over candidate bindings ``bind``: Q_der, then
+    the goal annotations. FULL feeds it the domains' cross product, the
+    sampler its drawn bindings."""
+    der = der_select(stmt, catalog, program, unified, bind)
+    return annotate_select(stmt, catalog, unified, f"({der})")
+
+
+def _full_select(
+    stmt: Statement,
     catalog: Catalog,
     program: Program,
     unified: UnifiedRule,
-    max_derivations: int | None = 5_000_000,
-) -> DataFrame:
-    """Whynot(Q, D, t) restricted to one rule, fully materializable.
+    max_derivations: int | None,
+) -> str:
+    """:func:`whynot_select` over the domains' cross product.
 
     Raises ``ValueError`` when the derivation space exceeds
     ``max_derivations`` (the stand-in for the paper's FULL timeouts).
@@ -156,7 +171,24 @@ def whynot_full_rule(
         vals = vals.limit(0)  # the one head this rule derives exists
     # domains, their cross product and the joins with the distinct goal
     # relations are all sets: the result has no duplicate to drop
-    return whynot_derivations(catalog, program, unified, vals)
+    return whynot_select(stmt, catalog, program, unified, stmt.frame(vals))
+
+
+def whynot_full_rule(
+    catalog: Catalog,
+    program: Program,
+    unified: UnifiedRule,
+    max_derivations: int | None = 5_000_000,
+) -> DataFrame:
+    """Whynot(Q, D, t) restricted to one rule, fully materializable:
+    columns are the unbound variables, then ``g1 … gm``.
+
+    Raises ``ValueError`` when the derivation space exceeds
+    ``max_derivations`` (the stand-in for the paper's FULL timeouts).
+    """
+    stmt = Statement(catalog.spark)
+    select = _full_select(stmt, catalog, program, unified, max_derivations)
+    return stmt.dataframe(select)
 
 
 def whynot_full(
@@ -175,3 +207,20 @@ def whynot_full(
     return [
         (u, whynot_full_rule(catalog, program, u, max_derivations)) for u in rules
     ]
+
+
+def collect_whynot_full(
+    catalog: Catalog,
+    program: Program,
+    t: PTuple,
+    max_derivations: int | None = 5_000_000,
+) -> list[tuple[UnifiedRule, list[tuple]]]:
+    """The rows of :func:`whynot_full`, every rule's from one statement
+    and one ``collect()``."""
+    rules = unify_program(program, t)
+    fill_variable_domains(catalog, rules)
+    stmt = Statement(catalog.spark)
+    for u in rules:
+        select = _full_select(stmt, catalog, program, u, max_derivations)
+        stmt.add(select, len(u.unbound) + u.n_goals)
+    return list(zip(rules, stmt.collect()))

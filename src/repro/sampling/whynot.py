@@ -36,19 +36,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from pyspark.sql import DataFrame
 from pyspark.sql.types import BooleanType, StructField, StructType
 
 from repro.core.ast import Program, Var
 from repro.core.unify import PTuple, UnifiedRule, unify_program
 from repro.engine.catalog import AnswerIndex, Catalog, canonical_sort
-from repro.engine.tagged import collect_tagged, local_frame
+from repro.engine.statement import Statement
+from repro.engine.tagged import local_frame
 from repro.provenance.annotate import goal_column_names, head_constants
 from repro.provenance.whynot_full import (
     fill_variable_domains,
     split_comparisons,
     variable_values,
-    whynot_derivations,
+    whynot_select,
 )
 from repro.sampling.ops import sample_with_replacement
 from repro.sampling.oversample import (
@@ -167,15 +167,17 @@ def _draw(
     return _Draw(sample, fields, bindings, rng)
 
 
-def _plan(catalog: Catalog, program: Program, draw: _Draw) -> DataFrame:
-    """Steps 1–3 of one rule as a lazy plan over its drawn bindings; with
-    a ground head the answer index already decided that its answer is
-    missing."""
+def _select(
+    stmt: Statement, catalog: Catalog, program: Program, draw: _Draw
+) -> str:
+    """Steps 2–3 of one rule over its drawn bindings; with a ground head
+    the answer index already decided that its answer is missing."""
     if draw.fields:
-        bind = local_frame(catalog.spark, draw.bindings, StructType(draw.fields))
+        local = local_frame(catalog.spark, draw.bindings, StructType(draw.fields))
+        bind = stmt.frame(local)
     else:  # fully bound question: the single empty valuation
-        bind = catalog.spark.range(1).drop("id")
-    return whynot_derivations(catalog, program, draw.sample.unified, bind)
+        bind = "(SELECT 0 AS __unit)"
+    return whynot_select(stmt, catalog, program, draw.sample.unified, bind)
 
 
 def _sample_rules(
@@ -187,8 +189,8 @@ def _sample_rules(
     max_n_os: int,
 ) -> list[RuleSample]:
     """Sample every rule in ``rules``: all draws first, on the driver, so
-    every rule's n_OS is known before Spark runs; then one collected plan
-    for all rules; then each rule's n_S cut."""
+    every rule's n_OS is known before Spark runs; then one Spark SQL
+    statement for all rules, collected once; then each rule's n_S cut."""
     answers = catalog.answers(program)
     fill_variable_domains(catalog, rules)
     draws = [
@@ -197,8 +199,10 @@ def _sample_rules(
     ]
     pending = [d for d in draws if isinstance(d, _Draw)]
     if pending:
-        collected = collect_tagged([_plan(catalog, program, d) for d in pending])
-        for d, rows in zip(pending, collected):
+        stmt = Statement(catalog.spark)
+        for d in pending:
+            stmt.add(_select(stmt, catalog, program, d), len(d.sample.schema))
+        for d, rows in zip(pending, stmt.collect()):
             survivors = canonical_sort(rows)
             if len(survivors) > n_s:
                 keep = np.sort(d.rng.choice(len(survivors), n_s, replace=False))

@@ -9,8 +9,10 @@
 3. **metric estimation** — match counting over the sample (Sec. 7);
 4. **top-k construction** — best-first search (Sec. 8).
 
-Phase 1 runs in Catalyst, because it touches the database, and ends by
-collecting each rule's ≤ n_S-row sample to the driver once, where
+Phase 1 runs in Catalyst, because it touches the database: every rule
+of the question is one SELECT of one Spark SQL statement
+(``repro.engine.statement``), and one ``collect()`` brings each rule's
+≤ n_S-row sample to the driver, where
 :class:`SampleStore` keeps it as integer codes. Phases 2–4 work over
 those codes in numpy on the driver; nothing in them launches a Spark
 job. The per-phase timings mirror the per-phase bars of Figs. 6–7.
@@ -21,18 +23,14 @@ import heapq
 import time
 from dataclasses import dataclass, field
 
-from pyspark.sql import Observation
-from pyspark.sql import functions as F
-
 from repro.core.ast import Program
 from repro.core.unify import WHY, WHYNOT, PQuestion, UnifiedRule
 from repro.engine.catalog import Catalog
-from repro.engine.tagged import collect_tagged
 from repro.patterns.lca import lca_codes
 from repro.patterns.matching import collect_patterns, count_matches
 from repro.patterns.pattern import Pattern
-from repro.provenance.why import why_provenance
-from repro.provenance.whynot_full import whynot_full
+from repro.provenance.why import sample_why
+from repro.provenance.whynot_full import collect_whynot_full
 from repro.sampling.whynot import sample_whynot
 from repro.summarize.metrics import SampleStore, harmonic, info_of_set
 from repro.summarize.topk import SearchResult, rank_key, topk_bestfirst
@@ -103,43 +101,15 @@ def _capture(
     """
     out: list[tuple[UnifiedRule, list, float, dict]] = []
     if question.qtype == WHY:
-        rules, cuts, seen = [], [], []
-        for u, df in why_provenance(catalog, program, question.ptuple):
-            # uniform cut to n_S in Catalyst (why provenance grows with the
-            # database), ordered by a seeded hash of the row, then the row:
-            # unlike rand(seed), that order does not depend on how Spark
-            # partitions the data. The observation counts every row on its
-            # way into the cut, so the same action yields |Why| too. It
-            # sits below a shuffle: where Spark knows there are at most n_S
-            # rows it drops the limit, sorts globally and samples the sort's
-            # input first, and that sample would run the observation again.
-            obs = Observation()
-            order = [F.col(c) for c in df.columns]
-            cuts.append(
-                df.observe(obs, F.count(F.lit(1)).alias("n"))
-                .repartition(1)
-                .orderBy(F.xxhash64(F.lit(seed), *order), *order)
-                .limit(n_s)
+        for u, rows, n in sample_why(catalog, program, question.ptuple, n_s, seed):
+            out.append(
+                (u, _split(u, rows), float(n), {"n_survivors": n, "capped": False})
             )
-            rules.append(u)
-            seen.append(obs)
-        # every rule's cut in one action. An empty cut means no derivation;
-        # adaptive execution drops an empty rule's branch from the union,
-        # observation included, so only a non-empty cut's count is read.
-        collected = collect_tagged(cuts) if cuts else []
-        for u, obs, rows in zip(rules, seen, collected):
-            if rows:
-                full = obs.get["n"]
-                out.append(
-                    (u, _split(u, rows), float(full),
-                     {"n_survivors": full, "capped": False})
-                )
         return out
     if use_full:
-        full = whynot_full(catalog, program, question.ptuple, max_full_derivations)
-        # every rule's enumeration in one action
-        collected = collect_tagged([df for _, df in full]) if full else []
-        for (u, _), rows in zip(full, collected):
+        for u, rows in collect_whynot_full(
+            catalog, program, question.ptuple, max_full_derivations
+        ):
             if rows:
                 out.append(
                     (u, _split(u, rows), float(len(rows)),

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from repro.core.ast import Const
-from repro.core.unify import WHY, WHYNOT
+from repro.core.unify import WHY, WHYNOT, unify_program
 from repro.engine.catalog import Catalog
-from repro.engine.eval import evaluate
-from repro.experiments.__main__ import parser, run
+from repro.engine.eval import evaluate, successful_derivations
+from repro.experiments.__main__ import parser, run, session_conf
 from repro.experiments.common import format_rows, whynot_space
 from repro.experiments.comparison import (
     run_artemis_comparison,
@@ -82,6 +82,20 @@ class TestPerfScaling:
             spark, "r1", WHY, sizes=[300], sample_sizes=[30], k=2
         )
         assert rows[0]["completeness"] > 0
+
+    def test_why_prov_size_is_exact(self, spark):
+        # |Why| of the bound question, not the n_S = 3 rows it keeps
+        rows = run_perf_scaling(
+            spark, "r1", WHY, sizes=[300], sample_sizes=[3, 1000], k=2
+        )
+        spec = QUERIES["r1"]
+        catalog = Catalog(spark, spec.build_db(spark, 300, 0))
+        program = spec.program()
+        t = spec.ptuple(catalog, program, WHY)
+        (u,) = unify_program(program, t)
+        n_why = successful_derivations(catalog, u.rule).count()
+        assert n_why > 3
+        assert [r["prov_size"] for r in rows] == [n_why, n_why]
 
     def test_full_timeout_row(self, spark):
         rows = run_perf_scaling(
@@ -213,9 +227,9 @@ class TestCommandLine:
             for query in queries
             for qtype in (WHY, WHYNOT)
         ]
-        # None prints as "timeout": each why row's prov_size, and every
-        # t_* cell of a run that failed
-        assert out.count("timeout") == 4
+        # None prints as "timeout": every t_* cell of a run that failed;
+        # a why row's prov_size is its exact |Why|
+        assert out.count("timeout") == 0
 
     def test_t11(self, spark, capsys):
         run(spark, ["t11", "--queries", "r1", "--size", "300", "--n-s", "50",
@@ -225,6 +239,15 @@ class TestCommandLine:
             "T11 completeness (why)", "T11 completeness (whynot)",
         ]
         assert "completeness" in out.splitlines()[2]
+
+    def test_session_driver_memory(self, monkeypatch):
+        # the settings only: asserting on them starts no second JVM
+        monkeypatch.setenv("SPARK_DRIVER_MEM", "3g")
+        conf = session_conf()
+        assert conf["spark.driver.memory"] == "3g"
+        assert conf["spark.sql.shuffle.partitions"] == "16"
+        monkeypatch.delenv("SPARK_DRIVER_MEM")
+        assert "spark.driver.memory" not in session_conf()
 
     @pytest.mark.parametrize("doc", ["README.md", "EXPERIMENTS.md"])
     def test_documented_commands_parse(self, doc):

@@ -17,12 +17,14 @@ from repro.datasets.graph_r import graph_r, rex_catalog, rex_program
 from repro.datasets.license import license_db, r1_program, r2_program
 from repro.datasets.movies import movies, r4_program
 from repro.engine.catalog import Catalog
-from repro.engine.eval import evaluate, successful_derivations
-from repro.provenance.annotate import annotate_goals, anti_join_existing
+from repro.engine.eval import successful_derivations
+from repro.engine.statement import Statement
+from repro.provenance.annotate import annotate_select
 from repro.provenance.why import why_derivations, why_provenance
 from repro.provenance.whynot_full import (
     all_valuations,
     count_all_derivations,
+    der_select,
     whynot_full,
     whynot_full_rule,
 )
@@ -220,6 +222,11 @@ class TestWhynotFull:
         assert df.count() == 0
 
 
+def _annotated(catalog, u, deriv):
+    stmt = Statement(catalog.spark)
+    return stmt.dataframe(annotate_select(stmt, catalog, u, stmt.frame(deriv)))
+
+
 class TestAnnotate:
     def test_negated_goal_annotation(self, spark):
         db = {
@@ -230,7 +237,7 @@ class TestAnnotate:
         prog = parse_program("Q(X) :- R(X), not S(X).")
         u = unify_rule(prog.rules[0], parse_ptuple("Q(X)"))
         deriv = spark.createDataFrame(pd.DataFrame({"X": [1, 2, 3]}))
-        ann = annotate_goals(catalog, u, deriv)
+        ann = _annotated(catalog, u, deriv)
         rows = {r["X"]: (r["g1"], r["g2"]) for r in ann.collect()}
         # X=1: R(1) exists (T), S(1) missing → ¬S succeeds (T)
         assert rows[1] == (True, True)
@@ -246,14 +253,14 @@ class TestAnnotate:
         prog = parse_program("Q(X) :- R(X).")
         u = unify_rule(prog.rules[0], parse_ptuple("Q(X)"))
         deriv = spark.createDataFrame(pd.DataFrame({"X": [1, 2]}))
-        assert annotate_goals(catalog, u, deriv).count() == 2
+        assert _annotated(catalog, u, deriv).count() == 2
 
     def test_anti_join_existing(self, rex):
         catalog, prog = rex
         u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
-        result = evaluate(catalog, prog)
         deriv = catalog.spark.createDataFrame(
             pd.DataFrame({"X": [1, 2, 3], "Z": [9, 9, 9]})
         )
-        kept = anti_join_existing(deriv, result, u)
+        stmt = Statement(catalog.spark)
+        kept = stmt.dataframe(der_select(stmt, catalog, prog, u, stmt.frame(deriv)))
         assert {r["X"] for r in kept.collect()} == {2, 3}
