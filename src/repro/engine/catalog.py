@@ -22,6 +22,8 @@ Questions reach the persisted relations through Spark SQL
 together with Catalyst's size estimate of it, which decides whether a
 statement broadcasts it (:meth:`Catalog.goal_view`,
 :meth:`Catalog.result_view`, :meth:`Catalog.derivations_view`).
+:meth:`Catalog.close` drops those views and unpersists the relations;
+a catalog is also a context manager that closes it on exit.
 """
 from __future__ import annotations
 
@@ -99,6 +101,24 @@ class Catalog:
         self._derivations: dict[Rule, DataFrame] = {}
         self._views: dict[Hashable, View] = {}
         self._view_prefix = f"repro_catalog{next(_CATALOG_NO)}_"
+
+    def __enter__(self) -> "Catalog":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Drop the catalog's temp views and unpersist the relations it
+        persisted. Its collected domains and answer indexes stay; a later
+        question persists and registers what it needs again."""
+        for view in self._views.values():
+            self.spark.catalog.dropTempView(view.name)
+        for cache in (self._results, self._goals, self._derivations):
+            for df in cache.values():
+                df.unpersist()
+            cache.clear()
+        self._views.clear()
 
     def relation_names(self) -> list[str]:
         return sorted(self._tables)

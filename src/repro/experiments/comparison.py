@@ -41,35 +41,35 @@ def run_artemis_comparison(
     program = crimedesc_program()
     for n in sizes:
         db = witness_db(spark, n=n, seed=seed)
-        catalog = Catalog(spark, db)
-        n_s = max(10, int(n * sample_frac))
-        spark.catalog.clearCache()
-        t0 = time.perf_counter()
-        s = summarize(
-            catalog, program, PQuestion(t, WHYNOT), k=k, n_s=n_s, seed=seed
-        )
-        t_pug = time.perf_counter() - t0
-        row = {
-            "n_rows": n,
-            "n_s": n_s,
-            "t_pug_summ": t_pug,
-            "pug_top_info": s.patterns[0].info() if s.patterns else None,
-            "pug_top_cp": s.patterns[0].cp if s.patterns else None,
-        }
-        # a catalog of its own and an empty Spark cache: no reuse of the
-        # domains, Q(D) and goal projections that PUG-Summ's run left
-        spark.catalog.clearCache()
-        t0 = time.perf_counter()
-        try:
-            art = artemis_explain(
-                Catalog(spark, db), program, t, max_derivations=artemis_budget
+        with Catalog(spark, db) as catalog, Catalog(spark, db) as art_catalog:
+            n_s = max(10, int(n * sample_frac))
+            spark.catalog.clearCache()
+            t0 = time.perf_counter()
+            s = summarize(
+                catalog, program, PQuestion(t, WHYNOT), k=k, n_s=n_s, seed=seed
             )
-            row["t_artemis"] = time.perf_counter() - t0
-            row["artemis_top_info"] = art.top().info()
-        except ArtemisTimeout:
-            row["t_artemis"] = None
-            row["artemis_top_info"] = None
-        rows.append(row)
+            t_pug = time.perf_counter() - t0
+            row = {
+                "n_rows": n,
+                "n_s": n_s,
+                "t_pug_summ": t_pug,
+                "pug_top_info": s.patterns[0].info() if s.patterns else None,
+                "pug_top_cp": s.patterns[0].cp if s.patterns else None,
+            }
+            # a catalog of its own and an empty Spark cache: no reuse of the
+            # domains, Q(D) and goal projections that PUG-Summ's run left
+            spark.catalog.clearCache()
+            t0 = time.perf_counter()
+            try:
+                art = artemis_explain(
+                    art_catalog, program, t, max_derivations=artemis_budget
+                )
+                row["t_artemis"] = time.perf_counter() - t0
+                row["artemis_top_info"] = art.top().info()
+            except ArtemisTimeout:
+                row["t_artemis"] = None
+                row["artemis_top_info"] = None
+            rows.append(row)
     return rows
 
 
@@ -86,37 +86,37 @@ def run_single_derivation_comparison(
     # one untimed question of each system first: the first why-not
     # question in a JVM runs slower, and neither size should pay for it
     db = spec.build_db(spark, min(sizes), seed)
-    catalog = Catalog(spark, db)
-    t = spec.ptuple(catalog, program, WHYNOT)
-    single_derivation(catalog, program, t, seed=seed)
-    summarize(Catalog(spark, db), program, PQuestion(t, WHYNOT), k=k, n_s=n_s,
-              seed=seed)
+    with Catalog(spark, db) as catalog, Catalog(spark, db) as summary_catalog:
+        t = spec.ptuple(catalog, program, WHYNOT)
+        single_derivation(catalog, program, t, seed=seed)
+        summarize(summary_catalog, program, PQuestion(t, WHYNOT), k=k, n_s=n_s,
+                  seed=seed)
     rows = []
     for n in sizes:
         db = spec.build_db(spark, n, seed)
-        catalog = Catalog(spark, db)
-        t = spec.ptuple(catalog, program, WHYNOT)
-        spark.catalog.clearCache()
-        t0 = time.perf_counter()
-        d = single_derivation(catalog, program, t, seed=seed)
-        t_single = time.perf_counter() - t0
-        # a catalog of its own and an empty Spark cache: no reuse of the
-        # single-derivation run's domains, Q(D) and goal projections
-        spark.catalog.clearCache()
-        t0 = time.perf_counter()
-        s = summarize(
-            Catalog(spark, db), program, PQuestion(t, WHYNOT), k=k, n_s=n_s,
-            seed=seed,
-        )
-        t_summ = time.perf_counter() - t0
-        rows.append(
-            {
-                "n_rows": n,
-                "t_single_derivation": t_single,
-                "t_pug_summ": t_summ,
-                "slowdown": t_summ / t_single if t_single else None,
-                "found_derivation": d is not None,
-                "summary_completeness": s.completeness,
-            }
-        )
+        with Catalog(spark, db) as catalog, Catalog(spark, db) as summary_catalog:
+            t = spec.ptuple(catalog, program, WHYNOT)
+            spark.catalog.clearCache()
+            t0 = time.perf_counter()
+            d = single_derivation(catalog, program, t, seed=seed)
+            t_single = time.perf_counter() - t0
+            # a catalog of its own and an empty Spark cache: no reuse of the
+            # single-derivation run's domains, Q(D) and goal projections
+            spark.catalog.clearCache()
+            t0 = time.perf_counter()
+            s = summarize(
+                summary_catalog, program, PQuestion(t, WHYNOT), k=k, n_s=n_s,
+                seed=seed,
+            )
+            t_summ = time.perf_counter() - t0
+            rows.append(
+                {
+                    "n_rows": n,
+                    "t_single_derivation": t_single,
+                    "t_pug_summ": t_summ,
+                    "slowdown": t_summ / t_single if t_single else None,
+                    "found_derivation": d is not None,
+                    "summary_completeness": s.completeness,
+                }
+            )
     return rows

@@ -24,21 +24,21 @@ def run_completeness(
     for query in queries:
         spec = QUERIES[query]
         db = spec.build_db(spark, n, seed)
-        catalog = Catalog(spark, db)
-        program = spec.program()
-        t = spec.ptuple(catalog, program, qtype)
-        question = PQuestion(t, qtype)
-        for k in ks:
-            s = summarize(catalog, program, question, k=k, n_s=n_s, seed=seed)
-            rows.append(
-                {
-                    "query": query,
-                    "qtype": qtype,
-                    "n_rows": n,
-                    "k": k,
-                    "completeness": s.completeness,
-                    "informativeness": s.informativeness,
-                    "score": s.score,
-                }
-            )
+        with Catalog(spark, db) as catalog:
+            program = spec.program()
+            t = spec.ptuple(catalog, program, qtype)
+            question = PQuestion(t, qtype)
+            for k in ks:
+                s = summarize(catalog, program, question, k=k, n_s=n_s, seed=seed)
+                rows.append(
+                    {
+                        "query": query,
+                        "qtype": qtype,
+                        "n_rows": n,
+                        "k": k,
+                        "completeness": s.completeness,
+                        "informativeness": s.informativeness,
+                        "score": s.score,
+                    }
+                )
     return rows

@@ -36,68 +36,68 @@ def run_perf_scaling(
     rows: list[dict] = []
     for n in sizes:
         db = spec.build_db(spark, n, seed)
-        catalog = Catalog(spark, db)
-        program = spec.program()
-        t = spec.ptuple(catalog, program, qtype)
-        question = PQuestion(t, qtype)
-        # why: filled in per row from the summary's exact count
-        prov_size = (
-            whynot_space(catalog, program, t) if qtype == WHYNOT else None
-        )
-        configs: list[tuple[str, int | None]] = [
-            (f"S{ns}", ns) for ns in sample_sizes
-        ]
-        if include_full:
-            configs.append(("FULL", None))
-        for label, ns in configs:
-            row = {
-                "query": query,
-                "qtype": qtype,
-                "n_rows": n,
-                "prov_size": prov_size,
-                "sample": label,
-            }
-            try:
-                if ns is None:
-                    if qtype == WHY:
-                        # FULL why: quadratic LCA input — apply the same
-                        # budget the paper's 30-minute timeout imposes
-                        from repro.provenance.why import why_provenance
+        with Catalog(spark, db) as catalog:
+            program = spec.program()
+            t = spec.ptuple(catalog, program, qtype)
+            question = PQuestion(t, qtype)
+            # why: filled in per row from the summary's exact count
+            prov_size = (
+                whynot_space(catalog, program, t) if qtype == WHYNOT else None
+            )
+            configs: list[tuple[str, int | None]] = [
+                (f"S{ns}", ns) for ns in sample_sizes
+            ]
+            if include_full:
+                configs.append(("FULL", None))
+            for label, ns in configs:
+                row = {
+                    "query": query,
+                    "qtype": qtype,
+                    "n_rows": n,
+                    "prov_size": prov_size,
+                    "sample": label,
+                }
+                try:
+                    if ns is None:
+                        if qtype == WHY:
+                            # FULL why: quadratic LCA input — apply the same
+                            # budget the paper's 30-minute timeout imposes
+                            from repro.provenance.why import why_provenance
 
-                        n_prov = sum(
-                            df.count()
-                            for _, df in why_provenance(catalog, program, t)
+                            n_prov = sum(
+                                df.count()
+                                for _, df in why_provenance(catalog, program, t)
+                            )
+                            row["prov_size"] = n_prov
+                            if n_prov > max(1, int(full_budget ** 0.5) * 8):
+                                raise ValueError("FULL why over budget")
+                        s = summarize(
+                            catalog, program, question, k=k, n_s=1 << 30,
+                            seed=seed, use_full=(qtype == WHYNOT),
+                            max_full_derivations=full_budget,
                         )
-                        row["prov_size"] = n_prov
-                        if n_prov > max(1, int(full_budget ** 0.5) * 8):
-                            raise ValueError("FULL why over budget")
-                    s = summarize(
-                        catalog, program, question, k=k, n_s=1 << 30,
-                        seed=seed, use_full=(qtype == WHYNOT),
-                        max_full_derivations=full_budget,
+                    else:
+                        s = summarize(
+                            catalog, program, question, k=k, n_s=ns, seed=seed
+                        )
+                except ValueError:
+                    # FULL enumeration over budget — the paper's timed-out bar
+                    row.update(
+                        t_sample=None, t_pattern=None, t_metrics=None,
+                        t_topk=None, t_total=None, completeness=None, score=None,
                     )
-                else:
-                    s = summarize(
-                        catalog, program, question, k=k, n_s=ns, seed=seed
-                    )
-            except ValueError:
-                # FULL enumeration over budget — the paper's timed-out bar
+                    rows.append(row)
+                    continue
+                if qtype == WHY:  # |Why|: each rule's count before its n_S cut
+                    row["prov_size"] = sum(r["n_survivors"] for r in s.per_rule)
                 row.update(
-                    t_sample=None, t_pattern=None, t_metrics=None,
-                    t_topk=None, t_total=None, completeness=None, score=None,
+                    t_sample=s.timings["sample"],
+                    t_pattern=s.timings["pattern_gen"],
+                    t_metrics=s.timings["metrics"],
+                    t_topk=s.timings["topk"],
+                    t_total=s.timings["total"],
+                    completeness=s.completeness,
+                    score=s.score,
                 )
                 rows.append(row)
-                continue
-            if qtype == WHY:  # |Why|: each rule's count before its n_S cut
-                row["prov_size"] = sum(r["n_survivors"] for r in s.per_rule)
-            row.update(
-                t_sample=s.timings["sample"],
-                t_pattern=s.timings["pattern_gen"],
-                t_metrics=s.timings["metrics"],
-                t_topk=s.timings["topk"],
-                t_total=s.timings["total"],
-                completeness=s.completeness,
-                score=s.score,
-            )
-            rows.append(row)
     return rows

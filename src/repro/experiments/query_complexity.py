@@ -47,24 +47,24 @@ def run_join_scaling(
             program = star_query(m)
         else:
             raise ValueError(f"unknown join shape {shape!r}")
-        catalog = Catalog(spark, db)
-        head = program.rules[0].head.pred
-        v = _missing_head_value(catalog, program, 500)
-        t = parse_ptuple(f"{head}({v})")
-        s = summarize(
-            catalog, program, PQuestion(t, WHYNOT), k=k, n_s=n_s, seed=seed
-        )
-        rows.append(
-            {
-                "shape": shape,
-                "n_joins": m,
-                "n_vars": len(program.rules[0].vars()),
-                "prov_size": whynot_space(catalog, program, t),
-                "n_s": n_s,
-                "t_total": s.timings["total"],
-                "completeness": s.completeness,
-            }
-        )
+        with Catalog(spark, db) as catalog:
+            head = program.rules[0].head.pred
+            v = _missing_head_value(catalog, program, 500)
+            t = parse_ptuple(f"{head}({v})")
+            s = summarize(
+                catalog, program, PQuestion(t, WHYNOT), k=k, n_s=n_s, seed=seed
+            )
+            rows.append(
+                {
+                    "shape": shape,
+                    "n_joins": m,
+                    "n_vars": len(program.rules[0].vars()),
+                    "prov_size": whynot_space(catalog, program, t),
+                    "n_s": n_s,
+                    "t_total": s.timings["total"],
+                    "completeness": s.completeness,
+                }
+            )
     return rows
 
 

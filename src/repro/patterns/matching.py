@@ -7,13 +7,16 @@ pattern's completeness (Def. 7) as long as the sample is unbiased
 (Theorem 1).
 
 The paper runs Q_match as a SQL join + group-count over the sample in
-the DBMS. Ours is integer-coded on the driver, so the counts come from
-chunked numpy comparisons: only the counts are kept, never a
-patterns × rows matrix.
+the DBMS. Ours is integer-coded on the driver, so Q_match runs over
+packed row bitsets (:class:`RowBits`): a pattern's match set is the AND
+of its goal group's set and, per column, the set of rows holding its
+code there, and its count is a popcount. Patterns go through in chunks,
+so only the counts are kept, never a patterns × rows matrix.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -22,33 +25,87 @@ from repro.patterns.pattern import Pattern
 if TYPE_CHECKING:
     from repro.summarize.metrics import _RuleRows
 
-#: Pattern × row cells compared per chunk; bounds the chunk's working arrays.
-CHUNK_CELLS = 1 << 17
+#: Pattern × 64-row words matched per chunk; bounds the chunk's working arrays.
+CHUNK_WORDS = 1 << 16
+
+#: Set bits of every byte value (numpy 1.26 has no ``bitwise_count``).
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+#: Row-set words: bit i of word w is row 64·w + i. Little-endian, so the
+#: words viewed as bytes are the rows in order, 8 to a byte.
+_WORD = np.dtype("<u8")
+
+
+def popcount(words: np.ndarray) -> np.ndarray:
+    """Number of set bits in each row of a 2-D word array."""
+    return _POPCOUNT[words.view(np.uint8)].sum(axis=1, dtype=np.int64)
+
+
+def unpack(words: np.ndarray, n_rows: int) -> np.ndarray:
+    """Row sets over ``n_rows`` rows, given as words (one set a row, as
+    :meth:`RowBits.match` returns them), as (sets, rows) booleans."""
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=n_rows, bitorder="little")
+    return bits.view(bool)
+
+
+def _row_sets(keys: np.ndarray, n_keys: int, n_words: int) -> np.ndarray:
+    """(n_keys, n_words) words: row ``k`` is the set of rows i with
+    ``keys[i] == k``; a negative key is in no set."""
+    rows = np.flatnonzero(keys >= 0)
+    sets = np.zeros((n_keys, n_words), dtype=_WORD)
+    bits = np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
+    np.bitwise_or.at(sets, (keys[rows], rows >> 6), bits)
+    return sets
+
+
+class RowBits:
+    """One rule sample's rows as packed bitsets.
+
+    ``columns[c][code]`` is the set of rows whose column c holds
+    ``code``; its last row, the one a placeholder's code -1 indexes, is
+    every row. ``goals[g]`` is the set of rows with goal id g. Codes and
+    goal ids are dense from 0, as :class:`SampleStore` assigns them.
+    """
+
+    def __init__(self, codes: np.ndarray, goal_ids: np.ndarray):
+        n = len(goal_ids)
+        n_words = -(-n // 64)
+        every = np.full((1, n_words), np.iinfo(np.uint64).max, dtype=_WORD)
+        if n % 64:
+            every[0, -1] = (1 << (n % 64)) - 1
+        self.columns = [
+            np.concatenate([
+                _row_sets(codes[:, c], int(codes[:, c].max(initial=-1)) + 1, n_words),
+                every,
+            ])
+            for c in range(codes.shape[1])
+        ]
+        self.goals = _row_sets(goal_ids, int(goal_ids.max(initial=-1)) + 1, n_words)
+
+    @property
+    def n_words(self) -> int:
+        return self.goals.shape[1]
+
+    def match(self, pat_codes: np.ndarray, pat_goals: np.ndarray) -> np.ndarray:
+        """Match sets of patterns (rows of ``pat_codes``, -1 for a
+        placeholder, goal ids ``pat_goals``): (patterns, words)."""
+        out = self.goals[pat_goals]
+        for c, sets in enumerate(self.columns):
+            out &= sets[pat_codes[:, c]]
+        return out
 
 
 def count_matches(
-    pat_codes: np.ndarray,
-    pat_goals: np.ndarray,
-    codes: np.ndarray,
-    goal_ids: np.ndarray,
+    pat_codes: np.ndarray, pat_goals: np.ndarray, bits: RowBits
 ) -> np.ndarray:
     """Q_match over integer codes: for each pattern (a row of
     ``pat_codes`` with -1 for a placeholder, goal id ``pat_goals``), the
-    number of sample rows (``codes``, ``goal_ids``) it matches."""
+    number of sample rows (``bits``) it matches."""
     counts = np.zeros(len(pat_codes), dtype=np.int64)
-    for gid in np.unique(pat_goals):
-        pidx = np.flatnonzero(pat_goals == gid)
-        rows = codes[goal_ids == gid]
-        if len(rows) == 0:
-            continue
-        step = max(1, CHUNK_CELLS // len(rows))
-        for lo in range(0, len(pidx), step):
-            chunk = pat_codes[pidx[lo:lo + step]]
-            match = np.ones((len(chunk), len(rows)), dtype=bool)
-            for c in range(codes.shape[1]):
-                p = chunk[:, c][:, None]
-                match &= (p == rows[:, c][None, :]) | (p < 0)
-            counts[pidx[lo:lo + step]] = match.sum(axis=1)
+    step = max(1, CHUNK_WORDS // max(1, bits.n_words))
+    for lo in range(0, len(pat_codes), step):
+        chunk = slice(lo, lo + step)
+        counts[chunk] = popcount(bits.match(pat_codes[chunk], pat_goals[chunk]))
     return counts
 
 
@@ -72,7 +129,7 @@ def match_reference(
 def collect_patterns(
     rows: "_RuleRows",
     rule_id: str,
-    var_cols: list[str],
+    var_cols: Sequence[str],
     pat_codes: np.ndarray,
     pat_goals: np.ndarray,
     counts: np.ndarray,
@@ -98,3 +155,37 @@ def collect_patterns(
             pat_codes.tolist(), pat_goals.tolist(), counts.tolist()
         )
     ]
+
+
+@dataclass
+class Candidates:
+    """One rule's LCA candidates, integer-coded as in ``rows``, with
+    their match counts; decoded into :class:`Pattern` objects on demand."""
+
+    rule_id: str
+    var_names: tuple[str, ...]
+    rows: "_RuleRows"
+    codes: np.ndarray  # (m, v) int64, -1 = placeholder
+    goals: np.ndarray  # (m,) goal ids
+    counts: np.ndarray  # (m,) int64
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def cp(self) -> np.ndarray:
+        """Each candidate's ``Pattern.cp``, computed the same way."""
+        return self.rows.weight * self.counts / len(self.rows)
+
+    def info(self) -> np.ndarray:
+        """Each candidate's ``Pattern.info()``, computed the same way."""
+        n_cols = self.codes.shape[1]
+        if not n_cols:
+            return np.ones(len(self))
+        return (self.codes >= 0).sum(axis=1) / n_cols
+
+    def patterns(self, idx: np.ndarray | slice = slice(None)) -> list[Pattern]:
+        """The candidates at ``idx``, decoded, in that order."""
+        return collect_patterns(
+            self.rows, self.rule_id, self.var_names,
+            self.codes[idx], self.goals[idx], self.counts[idx],
+        )

@@ -12,6 +12,8 @@ constants it binds and by the unified rule's comparisons, in Spark SQL.
 """
 from __future__ import annotations
 
+import struct
+
 from pyspark.sql import DataFrame
 
 from repro.core.ast import Program
@@ -55,6 +57,21 @@ def why_provenance(
     return [(u, why_derivations(catalog, u)) for u in unify_program(program, t)]
 
 
+def _seed_bytes(seed: int) -> bytearray:
+    """The bytes that XXH64 hashes exactly as it hashes ``seed``.
+
+    ``spark.sql`` turns a Python int into an INT literal when it fits in
+    32 bits and a BIGINT otherwise, and Spark's XXH64 hashes an INT as its
+    4 little-endian bytes and a BIGINT as its 8, so this binary hashes to
+    the same value the integer did. Unlike an integer literal, which the
+    generated Java code inlines so that every new seed is new source for
+    Janino to compile, a binary literal is passed to the generated code
+    by reference: the code, and its compiled class, serve every seed.
+    """
+    fmt = "<i" if -(1 << 31) <= seed < 1 << 31 else "<q"
+    return bytearray(struct.pack(fmt, seed))
+
+
 def sample_why(
     catalog: Catalog, program: Program, t: PTuple, n_s: int, seed: int
 ) -> list[tuple[UnifiedRule, list[tuple], int]]:
@@ -65,17 +82,20 @@ def sample_why(
     The cut is uniform and stays in Catalyst, because why provenance
     grows with the database: rows are ordered by a seeded hash of the
     row, then the row, an order that, unlike ``rand(seed)``, does not
-    depend on how Spark partitions the data. ``COUNT(*) OVER ()`` counts
-    the rows before the cut, so the same action yields |Why|.
+    depend on how Spark partitions the data. The seed enters the hash as
+    :func:`_seed_bytes`, so a new seed compiles no new code.
+    ``COUNT(*) OVER ()`` counts the rows before the cut, so the same
+    action yields |Why|.
     """
     rules = unify_program(program, t)
     stmt = Statement(catalog.spark)
+    seed_param = stmt.param(_seed_bytes(seed))
     for u in rules:
         names = [v.name for v in u.unbound] + goal_column_names(u.n_goals)
         cols = ", ".join(map(quote, names))
         stmt.add(
             f"SELECT *, COUNT(*) OVER () AS __n FROM ({why_select(stmt, catalog, u)}) "
-            f"ORDER BY xxhash64({stmt.param(seed)}, {cols}), {cols} LIMIT {int(n_s)}",
+            f"ORDER BY xxhash64({seed_param}, {cols}), {cols} LIMIT {int(n_s)}",
             len(names) + 1,
         )
     return [

@@ -19,21 +19,22 @@ job. The per-phase timings mirror the per-phase bars of Figs. 6–7.
 """
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.core.ast import Program
 from repro.core.unify import WHY, WHYNOT, PQuestion, UnifiedRule
 from repro.engine.catalog import Catalog
 from repro.patterns.lca import lca_codes
-from repro.patterns.matching import collect_patterns, count_matches
+from repro.patterns.matching import Candidates, count_matches
 from repro.patterns.pattern import Pattern
 from repro.provenance.why import sample_why
 from repro.provenance.whynot_full import collect_whynot_full
 from repro.sampling.whynot import sample_whynot
 from repro.summarize.metrics import SampleStore, harmonic, info_of_set
-from repro.summarize.topk import SearchResult, rank_key, topk_bestfirst
+from repro.summarize.topk import SearchResult, rank_order, topk_bestfirst
 
 #: Candidates kept for the top-k search, strongest first (DESIGN.md).
 MAX_PATTERNS = 64
@@ -134,14 +135,51 @@ def _capture(
 
 @dataclass
 class PatternInputs:
-    """Output of phases 1–3: scored candidate patterns + the driver-side
-    sample store, ready for top-k construction (the input of Fig. 8)."""
+    """Output of phases 1–3: each rule's scored candidate patterns,
+    integer-coded, and the driver-side sample store, ready for top-k
+    construction (the input of Fig. 8)."""
 
-    patterns: list[Pattern]
+    candidates: list[Candidates]
     store: SampleStore
-    n_candidates: int
     timings: dict[str, float]
     per_rule: list[dict]
+
+    @property
+    def n_candidates(self) -> int:
+        return sum(map(len, self.candidates))
+
+    @property
+    def patterns(self) -> list[Pattern]:
+        """Every candidate, decoded: rule by rule, each in LCA order."""
+        return [p for c in self.candidates for p in c.patterns()]
+
+    def strongest(self, m: int) -> list[Pattern]:
+        """The ``m`` first candidates in ``rank_key`` order, decoded, in
+        that order: ``heapq.nsmallest(m, self.patterns, key=rank_key)``,
+        ranked over the coded candidates so that only the ``m`` kept
+        ones become :class:`Pattern` objects."""
+        cands = self.candidates
+        if not cands:
+            return []
+        sizes = [len(c) for c in cands]
+        which = np.repeat(np.arange(len(cands)), sizes)  # candidate → rule
+        starts = np.cumsum([0] + sizes)
+        codes = np.zeros((len(which), max(c.codes.shape[1] for c in cands)), np.int64)
+        for c, lo in zip(cands, starts):
+            codes[lo:lo + len(c), :c.codes.shape[1]] = c.codes
+        rule_rank = np.argsort(np.argsort([c.rule_id for c in cands]))
+        order = rank_order(
+            np.concatenate([c.cp() for c in cands]),
+            np.concatenate([c.info() for c in cands]),
+            rule_rank[which],
+            np.concatenate([c.goals for c in cands]),
+            codes,
+        )[:m]
+        decoded: dict[int, Pattern] = {}
+        for i, c in enumerate(cands):
+            kept = order[which[order] == i]
+            decoded.update(zip(kept.tolist(), c.patterns(kept - starts[i])))
+        return [decoded[j] for j in order.tolist()]
 
 
 def pattern_inputs(
@@ -180,15 +218,14 @@ def pattern_inputs(
 
     # --- phase 3: metric estimation (match counting) ---
     t0 = time.perf_counter()
-    all_patterns: list[Pattern] = []
+    scored: list[Candidates] = []
     for u, _, _, _ in captured:
         rows = store.rules[u.rule_id]
         pat_codes, pat_goals = candidates[u.rule_id]
-        counts = count_matches(pat_codes, pat_goals, rows.codes, rows.goal_ids)
-        all_patterns.extend(
-            collect_patterns(
-                rows, u.rule_id, [v.name for v in u.unbound],
-                pat_codes, pat_goals, counts,
+        scored.append(
+            Candidates(
+                u.rule_id, tuple(v.name for v in u.unbound), rows, pat_codes,
+                pat_goals, count_matches(pat_codes, pat_goals, rows.bits()),
             )
         )
     timings["metrics"] = time.perf_counter() - t0
@@ -204,11 +241,7 @@ def pattern_inputs(
         for u, _, _, shortfall in captured
     ]
     return PatternInputs(
-        patterns=all_patterns,
-        store=store,
-        n_candidates=len(all_patterns),
-        timings=timings,
-        per_rule=per_rule_stats,
+        candidates=scored, store=store, timings=timings, per_rule=per_rule_stats
     )
 
 
@@ -216,8 +249,9 @@ def select_topk(inputs: PatternInputs, k: int) -> SearchResult:
     """Phase 4: prune to the ``MAX_PATTERNS`` strongest candidates by
     singleton score, then cp, then canonical order (heuristic cap, see
     DESIGN.md), and run the best-first search."""
-    pruned = heapq.nsmallest(MAX_PATTERNS, inputs.patterns, key=rank_key)
-    return topk_bestfirst(pruned, k, inputs.store, max_pops=MAX_POPS)
+    return topk_bestfirst(
+        inputs.strongest(MAX_PATTERNS), k, inputs.store, max_pops=MAX_POPS
+    )
 
 
 def summarize(
@@ -239,7 +273,7 @@ def summarize(
     )
     timings = dict(inputs.timings)
     store = inputs.store
-    if not inputs.patterns:
+    if not inputs.n_candidates:
         timings["topk"] = 0.0
         timings["total"] = time.perf_counter() - t_start
         return Summary(

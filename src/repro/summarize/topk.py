@@ -56,6 +56,28 @@ def rank_key(p: Pattern) -> tuple:
     return (-harmonic(p.cp, p.info()), -p.cp, p.sort_key())
 
 
+def rank_order(
+    cp: np.ndarray,
+    info: np.ndarray,
+    rule: np.ndarray,
+    goal: np.ndarray,
+    codes: np.ndarray,
+) -> np.ndarray:
+    """Indices that sort candidates as :func:`rank_key` sorts their
+    patterns, given per candidate its cp and info, the rank of its rule
+    id among the rule ids, its goal id and its codes (-1 = placeholder).
+
+    Goal ids and codes follow the sorted order of the goal vectors and
+    values they stand for, so comparing them compares what
+    ``Pattern.sort_key`` compares; a placeholder sorts after every code.
+    The score is computed as :func:`harmonic` computes it, so equal
+    scores stay equal and ties break the same way.
+    """
+    args = np.where(codes < 0, np.iinfo(np.int64).max, codes)
+    keys = [args[:, c] for c in reversed(range(args.shape[1]))]
+    return np.lexsort(keys + [goal, rule, -cp, -_harmonic(cp, info)])
+
+
 def _harmonic(cp: np.ndarray, info: np.ndarray) -> np.ndarray:
     s = cp + info
     return np.where(s > 0, 2.0 * cp * info / np.where(s > 0, s, 1.0), 0.0)

@@ -1,6 +1,7 @@
 """Q_lca and Q_match over the integer-coded sample (``lca_codes``,
-``count_matches``, ``SampleStore._mask``) vs the pure-Python references
-``lca_reference`` and ``match_reference``."""
+``count_matches``, ``SampleStore._mask``, ``SampleStore.mask_matrix``) vs
+the pure-Python references ``lca_reference`` and ``match_reference`` and
+the comparison-based mask."""
 import random
 
 import numpy as np
@@ -57,6 +58,20 @@ ROWS_WIDE = [
 ROWS_WIDE += [((r[0][0], 5) + r[0][2:], (True,)) for r in ROWS_WIDE[:20]]
 
 
+def _comparison_mask(rows, p):
+    """Which rows of one rule's coded sample ``p`` matches, by comparing
+    codes column by column: ``SampleStore._mask`` before the bitsets."""
+    try:
+        gid = rows.goal_vectors.index(p.goals)
+        consts = [(c, rows.index[c][a]) for c, a in enumerate(p.args) if a is not None]
+    except (ValueError, KeyError):
+        return np.zeros(len(rows), dtype=bool)
+    mask = rows.goal_ids == gid
+    for c, code in consts:
+        mask &= rows.codes[:, c] == code
+    return mask
+
+
 def _random_rows(seed, n=40, arity=3, dom=4):
     rng = random.Random(seed)
     return [
@@ -102,25 +117,25 @@ class TestMatchSpark:
     def test_counts_match_reference(self):
         for rows in (ROWS_A, ROWS_NONE, ROWS_GROUPS, ROWS_WIDE):
             coded, codes, goals = _lca(rows)
-            counts = count_matches(codes, goals, coded.codes, coded.goal_ids)
+            counts = count_matches(codes, goals, coded.bits())
             pats = _decoded(coded, codes, goals)
             want = match_reference(pats, rows)
             assert dict(zip(pats, counts.tolist())) == want
 
     def test_chunked_counts_equal_unchunked(self, monkeypatch):
         coded, codes, goals = _lca(ROWS_GROUPS)
-        whole = count_matches(codes, goals, coded.codes, coded.goal_ids)
-        monkeypatch.setattr("repro.patterns.matching.CHUNK_CELLS", 7)
+        whole = count_matches(codes, goals, coded.bits())
+        monkeypatch.setattr("repro.patterns.matching.CHUNK_WORDS", 1)
         monkeypatch.setattr("repro.patterns.lca.CHUNK_PAIRS", 5)
         codes2, goals2 = lca_codes(coded.codes, coded.goal_ids)
         assert np.array_equal(codes, codes2) and np.array_equal(goals, goals2)
-        chunked = count_matches(codes, goals, coded.codes, coded.goal_ids)
+        chunked = count_matches(codes, goals, coded.bits())
         assert np.array_equal(whole, chunked)
 
     def test_collect_patterns(self):
         rows = sorted(set(ROWS_A), key=repr)
         coded, codes, goals = _lca(rows)
-        counts = count_matches(codes, goals, coded.codes, coded.goal_ids)
+        counts = count_matches(codes, goals, coded.bits())
         ps = collect_patterns(coded, "rex", ["X", "Z"], codes, goals, counts)
         assert all(p.rule_id == "rex" for p in ps)
         assert all(0 < p.cp <= 1 for p in ps)
@@ -132,10 +147,38 @@ class TestMatchSpark:
         rows = sorted(set(ROWS_A), key=repr)
         coded = _coded(rows, weight=0.5)
         codes, goals = lca_codes(coded.codes, coded.goal_ids)
-        counts = count_matches(codes, goals, coded.codes, coded.goal_ids)
+        counts = count_matches(codes, goals, coded.bits())
         ps = collect_patterns(coded, "rex", ["X", "Z"], codes, goals, counts)
         allp = [p for p in ps if p.args == (None, None) and p.goals == (False, False)]
         assert allp[0].cp == pytest.approx(0.5 * 3 / 5)
+
+
+class TestBitsetMatch:
+    """``count_matches`` over packed row bitsets: 64 rows to a word, 8 to
+    a byte, so the row counts straddle both, and patterns split across
+    chunks of one pattern, three, or all."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+    @pytest.mark.parametrize("n", [0, 1, 7, 13, 64, 65, 150])
+    def test_counts_match_reference(self, monkeypatch, n, chunk):
+        monkeypatch.setattr("repro.patterns.matching.CHUNK_WORDS", chunk)
+        rows = _random_rows(n, n=n)
+        coded = _coded(rows)
+        codes, goals = lca_codes(coded.codes, coded.goal_ids)
+        if n:  # random patterns too: codes and placeholders, any goal group
+            rng = np.random.default_rng(n)
+            highs = [len(v) for v in coded.values]
+            rand = np.stack([rng.integers(-1, h, 50) for h in highs], axis=1)
+            codes = np.concatenate([codes, rand])
+            goals = np.concatenate(
+                [goals, rng.integers(0, len(coded.goal_vectors), 50)]
+            )
+        counts = count_matches(codes, goals, coded.bits())
+        pats = _decoded(coded, codes, goals)
+        want = match_reference(pats, rows)
+        assert [want[p] for p in pats] == counts.tolist()
+        if n >= 64:
+            assert len(coded.goal_vectors) == 4  # every goal group
 
 
 class TestMask:
@@ -157,6 +200,34 @@ class TestMask:
                 for row in rows
             ]
             assert mask.tolist() == want
+
+    def test_mask_matrix_equals_comparison_masks(self):
+        """Two rules of different widths, row counts off the byte and word
+        boundaries, and patterns with constants or goal vectors the sample
+        lacks."""
+        store = SampleStore()
+        store.add_rule("r", _random_rows(1, n=70), 0.25)
+        store.add_rule("s", _random_rows(2, n=13, arity=2, dom=3), 0.75)
+        rng = random.Random(5)
+        pats = []
+        for _ in range(60):
+            rule, names = rng.choice([("r", ("A", "B", "C")), ("s", ("A", "B"))])
+            args = tuple(None if rng.random() < 0.4 else rng.randrange(5) for _ in names)
+            goals = (rng.random() < 0.7, rng.random() < 0.5)
+            pats.append(Pattern(rule, names, args, goals))
+        masks, w = store.mask_matrix(pats)
+        r, s = store.rules["r"], store.rules["s"]
+        for p, row in zip(pats, masks):
+            want = (
+                [_comparison_mask(r, p), np.zeros(len(s), dtype=bool)]
+                if p.rule_id == "r"
+                else [np.zeros(len(r), dtype=bool), _comparison_mask(s, p)]
+            )
+            assert row.tolist() == np.concatenate(want).tolist()
+            own = _comparison_mask(store.rules[p.rule_id], p)
+            assert store._mask(p).tolist() == own.tolist()
+        assert w.tolist() == [0.25 / 70] * 70 + [0.75 / 13] * 13
+        assert masks[:, :70].any() and masks[:, 70:].any()
 
     def test_constant_missing_from_sample_gives_empty_mask(self):
         store = SampleStore()

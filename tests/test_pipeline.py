@@ -1,5 +1,7 @@
 """End-to-end summarization tests (the four phases glued together),
 including the paper's worked Airbnb example."""
+import heapq
+
 import pandas as pd
 import pytest
 
@@ -11,7 +13,9 @@ from repro.datasets.movies import movies, r4_program
 from repro.core.ast import parse_program
 from repro.engine.catalog import Catalog
 from repro.provenance.why import why_provenance
+from repro.summarize.topk import rank_key
 from repro.summarize.pipeline import (
+    MAX_PATTERNS,
     pattern_inputs,
     select_topk,
     summarize,
@@ -218,3 +222,27 @@ class TestPatternInputs:
         inputs = pattern_inputs(catalog, prog, q, n_s=100, seed=7)
         for p in inputs.patterns[:20]:
             assert inputs.store.cp_of_pattern(p) == pytest.approx(p.cp)
+
+    @pytest.mark.parametrize("query", ["r4", "airbnb"])
+    def test_strongest_equals_nsmallest_by_rank_key(self, spark, airbnb, query):
+        """The numpy cap keeps exactly the candidates ``heapq.nsmallest``
+        keeps by ``rank_key``, in that order, ties between equal scores
+        and cps broken the same way."""
+        if query == "r4":
+            catalog = Catalog(spark, movies(spark, n_movies=150, seed=0))
+            prog, t = r4_program(), "Players('tom ford')"
+        else:
+            (catalog, prog), t = airbnb, "AL(N, shared)"
+        q = PQuestion(parse_ptuple(t), WHYNOT)
+        inputs = pattern_inputs(catalog, prog, q, n_s=60, seed=0, max_n_os=100_000)
+        decoded = inputs.patterns
+        assert len(decoded) == inputs.n_candidates > MAX_PATTERNS
+        ranked = sorted(decoded, key=rank_key)
+        assert inputs.strongest(len(decoded)) == ranked
+        assert inputs.strongest(MAX_PATTERNS) == heapq.nsmallest(
+            MAX_PATTERNS, decoded, key=rank_key
+        )
+        keys = [rank_key(p)[:2] for p in ranked]
+        assert len(set(keys)) < len(keys)  # the tie-breaks decide
+        if query == "r4":
+            assert len({p.rule_id for p in ranked[:MAX_PATTERNS]}) > 1

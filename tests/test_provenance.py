@@ -20,7 +20,15 @@ from repro.engine.catalog import Catalog
 from repro.engine.eval import successful_derivations
 from repro.engine.statement import Statement
 from repro.provenance.annotate import annotate_select
-from repro.provenance.why import why_derivations, why_provenance
+from repro.engine.statement import quote
+from repro.provenance.annotate import goal_column_names
+from repro.provenance.why import (
+    sample_why,
+    why_derivations,
+    why_provenance,
+    why_select,
+)
+from repro.summarize.pipeline import summarize_why
 from repro.provenance.whynot_full import (
     all_valuations,
     count_all_derivations,
@@ -143,6 +151,57 @@ class TestWhyFromCatalog:
         )
         assert rows and actions == ["collect"]
         assert spark.sparkContext._jsc.getPersistentRDDs().size() == persisted
+
+
+class TestWhySeed:
+    """The why cut's seed reaches Spark as the bytes XXH64 hashes for it:
+    the cut keeps the rows an integer seed keeps, and a new seed compiles
+    no new generated code."""
+
+    @pytest.fixture(scope="class")
+    def r1(self, spark):
+        return Catalog(spark, license_db(spark, n=1000, seed=0)), r1_program()
+
+    @staticmethod
+    def _explicit_cut(catalog, program, t, n_s, seed):
+        """The cut with the seed as an INT (32 bits) or BIGINT literal."""
+        typ = "INT" if -(1 << 31) <= seed < 1 << 31 else "BIGINT"
+        out = []
+        for u in unify_program(program, t):
+            stmt = Statement(catalog.spark)
+            names = [v.name for v in u.unbound] + goal_column_names(u.n_goals)
+            cols = ", ".join(map(quote, names))
+            rows = stmt.dataframe(
+                f"SELECT *, COUNT(*) OVER () AS __n FROM "
+                f"({why_select(stmt, catalog, u)}) ORDER BY "
+                f"xxhash64(CAST({seed} AS {typ}), {cols}), {cols} LIMIT {n_s}"
+            ).collect()
+            out.append((u.rule_id, [tuple(r[:-1]) for r in rows], rows[0][-1]))
+        return out
+
+    @pytest.mark.parametrize(
+        "seed", [0, -1, (1 << 31) - 1, 1 << 31, -(1 << 31) - 1, 1 << 40]
+    )
+    def test_same_cut_as_an_integer_seed(self, r1, seed):
+        catalog, prog = r1
+        t = parse_ptuple("InvalidD(C)")
+        got = [
+            (u.rule_id, rows, n) for u, rows, n in sample_why(catalog, prog, t, 40, seed)
+        ]
+        want = self._explicit_cut(catalog, prog, t, 40, seed)
+        assert got == want
+        assert want[0][2] > 40  # the cut drops rows
+
+    def test_fresh_seeds_compile_no_code(self, spark, r1):
+        catalog, prog = r1
+        t = parse_ptuple("InvalidD(C)")
+        metrics = spark._jvm.org.apache.spark.metrics.source.CodegenMetrics
+        compiled = metrics.METRIC_COMPILATION_TIME()
+        summarize_why(catalog, prog, t, k=2, n_s=40, seed=918_273)  # warm
+        before = compiled.getCount()
+        for seed in range(10):
+            summarize_why(catalog, prog, t, k=2, n_s=40, seed=918_274 + seed)
+        assert compiled.getCount() == before
 
 
 class TestWhynotFull:

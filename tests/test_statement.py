@@ -81,6 +81,28 @@ class TestViews:
         assert all(cache.lookupCachedData(df._jdf).isDefined() for df in persisted)
         assert _temp_views(spark) == views
 
+    def test_close_drops_the_views_and_unpersists(self, spark):
+        prog = r1_program()
+        questions = [
+            PQuestion(parse_ptuple("InvalidD('city_0')"), WHYNOT),
+            PQuestion(parse_ptuple("InvalidD(C)"), WHY),
+        ]
+        cache = spark._jsparkSession.sharedState().cacheManager()
+        with Catalog(spark, license_db(spark, n=300, seed=0)) as catalog:
+            for q in questions:
+                summarize(catalog, prog, q, k=2, n_s=30)
+            prefix = catalog._view_prefix
+            persisted = _persisted(catalog)
+            assert len(persisted) == 4
+            assert any(v.startswith(prefix) for v in _temp_views(spark))
+        assert not any(v.startswith(prefix) for v in _temp_views(spark))
+        assert not any(cache.lookupCachedData(df._jdf).isDefined() for df in persisted)
+        # a closed catalog persists and registers what a question needs again
+        assert summarize(catalog, prog, questions[1], k=2, n_s=30).patterns
+        assert any(v.startswith(prefix) for v in _temp_views(spark))
+        catalog.close()
+        assert not any(v.startswith(prefix) for v in _temp_views(spark))
+
     def test_each_relation_is_registered_once(self, spark):
         catalog = Catalog(spark, license_db(spark, n=100, seed=0))
         atom = r1_program().rules[0].body[1]
