@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pyspark.sql import functions as F
-
 from repro.core.ast import Program
 from repro.core.unify import PTuple, unify_program
 from repro.engine.catalog import Catalog
+from repro.engine.statement import Statement, quote
 from repro.patterns.pattern import Pattern
 from repro.provenance.annotate import goal_column_names
-from repro.provenance.whynot_full import count_all_derivations, whynot_full_rule
+from repro.provenance.whynot_full import count_all_derivations, full_select
 
 
 class ArtemisTimeout(Exception):
@@ -46,42 +45,42 @@ def artemis_explain(
     t: PTuple,
     max_derivations: int = 2_000_000,
 ) -> ArtemisExplanation:
-    """Enumerate Whynot(Q, D, t) and generalize per goal-annotation group."""
-    patterns: list[Pattern] = []
-    total = 0
-    for u in unify_program(program, t):
+    """Enumerate Whynot(Q, D, t) and generalize per goal-annotation group.
+
+    Per rule, one SELECT groups :func:`full_select`'s rows by their goal
+    annotations and aggregates each group in Spark: its count, and per
+    variable the minimum and maximum, which are equal where all its
+    derivations agree (kept as a constant). All rules run as one
+    statement, with one ``collect()``.
+    """
+    rules = unify_program(program, t)
+    stmt = Statement(catalog.spark)
+    for u in rules:
         n_space = count_all_derivations(catalog, u)
         if n_space > max_derivations:
             raise ArtemisTimeout(
                 f"derivation space of {n_space} exceeds budget {max_derivations}"
             )
-        full = whynot_full_rule(catalog, program, u, max_derivations=max_derivations)
-        var_cols = [v.name for v in u.unbound]
+        full = full_select(stmt, catalog, program, u, max_derivations)
         goal_cols = goal_column_names(u.n_goals)
-        # per goal-annotation group: count + per-position min/max to
-        # detect positions on which all derivations agree (kept constant)
-        aggs = [F.count(F.lit(1)).alias("__n")]
-        for v in var_cols:
-            aggs.append(F.min(v).alias(f"__min_{v}"))
-            aggs.append(F.max(v).alias(f"__max_{v}"))
-        grouped = full.groupBy(*goal_cols).agg(*aggs).collect()
+        aggs = ["COUNT(1)"]
+        for v in u.unbound:
+            aggs += [f"MIN({quote(v.name)})", f"MAX({quote(v.name)})"]
+        stmt.add(
+            f"SELECT {', '.join(goal_cols + aggs)} FROM ({full}) "
+            f"GROUP BY {', '.join(goal_cols)}",
+            len(goal_cols) + len(aggs),
+        )
+    patterns: list[Pattern] = []
+    for u, grouped in zip(rules, stmt.collect()):
+        m, names = u.n_goals, tuple(v.name for v in u.unbound)
         for r in grouped:
-            args = tuple(
-                r[f"__min_{v}"] if r[f"__min_{v}"] == r[f"__max_{v}"] else None
-                for v in var_cols
-            )
-            n = int(r["__n"])
-            total += n
+            lows, highs = r[m + 1::2], r[m + 2::2]
+            args = tuple(lo if lo == hi else None for lo, hi in zip(lows, highs))
             patterns.append(
-                Pattern(
-                    rule_id=u.rule_id,
-                    var_names=tuple(var_cols),
-                    args=args,
-                    goals=tuple(bool(r[g]) for g in goal_cols),
-                    cp=0.0,
-                    count=n,
-                )
+                Pattern(u.rule_id, names, args, tuple(map(bool, r[:m])), count=r[m])
             )
+    total = sum(p.count for p in patterns)
     for i, p in enumerate(patterns):
         patterns[i] = p.with_cp(p.count / total if total else 0.0, p.count)
     return ArtemisExplanation(patterns=patterns, n_derivations=total)

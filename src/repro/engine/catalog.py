@@ -15,13 +15,13 @@ later question reuses it: the collected domains, each Q(D) with its
 driver-side :class:`AnswerIndex`, each goal's projection and each base
 rule's successful derivations. A question applies its constants as
 filters on these relations. The domains a why-not question lacks are
-collected together, in one Spark action (:meth:`Catalog.fill_domains`).
+collected together, in one Spark action (:meth:`Catalog.domain_values`).
 
 Questions reach the persisted relations through Spark SQL
-(``repro.engine.statement``): each is registered once as a temp view,
-together with Catalyst's size estimate of it, which decides whether a
-statement broadcasts it (:meth:`Catalog.goal_view`,
-:meth:`Catalog.result_view`, :meth:`Catalog.derivations_view`).
+(``repro.engine.statement``): each is persisted and registered once as
+a temp view, together with Catalyst's size estimate of it, which decides
+whether a statement broadcasts it (:meth:`Catalog.result_view`,
+:meth:`Catalog.goal_view`, :meth:`Catalog.derivations_view`).
 :meth:`Catalog.close` drops those views and unpersists the relations;
 a catalog is also a context manager that closes it on exit.
 """
@@ -36,8 +36,7 @@ from pyspark.sql.types import StructField
 
 from repro.core.ast import Atom, Program, Rule, Var
 from repro.engine.eval import atom_df, evaluate, successful_derivations
-from repro.engine.statement import View
-from repro.engine.tagged import collect_tagged
+from repro.engine.statement import Statement, View
 
 #: An attribute occurrence: (relation name, 0-based column position).
 Occurrence = tuple[str, int]
@@ -56,15 +55,6 @@ def canonical_sort(rows: Iterable[Sequence]) -> list[tuple]:
     """Rows as tuples, sorted column by column with None last: an order
     that depends only on the values, not on how Spark partitioned them."""
     return sorted(map(tuple, rows), key=_key)
-
-
-def collect_values(df: DataFrame) -> Values:
-    """A unary DataFrame's column and its values, canonically sorted."""
-    return _values(df, df.collect())
-
-
-def _values(df: DataFrame, rows: Iterable[Sequence]) -> Values:
-    return df.schema[0], tuple(r[0] for r in canonical_sort(rows))
 
 
 class AnswerIndex:
@@ -95,11 +85,8 @@ class Catalog:
         self._tables = dict(tables)
         self._domain_overrides: dict[Occurrence, DataFrame] = {}
         self._domain_values: dict[Hashable, Values] = {}
-        self._results: dict[Program, DataFrame] = {}
         self._answers: dict[Program, AnswerIndex] = {}
-        self._goals: dict[Atom, DataFrame] = {}
-        self._derivations: dict[Rule, DataFrame] = {}
-        self._views: dict[Hashable, View] = {}
+        self._relations: dict[tuple[str, Hashable], tuple[DataFrame, View]] = {}
         self._view_prefix = f"repro_catalog{next(_CATALOG_NO)}_"
 
     def __enter__(self) -> "Catalog":
@@ -110,15 +97,12 @@ class Catalog:
 
     def close(self) -> None:
         """Drop the catalog's temp views and unpersist the relations it
-        persisted. Its collected domains and answer indexes stay; a later
-        question persists and registers what it needs again."""
-        for view in self._views.values():
+        persisted. Its collected domains stay; a later question persists
+        and registers what it needs again."""
+        for df, view in self._relations.values():
             self.spark.catalog.dropTempView(view.name)
-        for cache in (self._results, self._goals, self._derivations):
-            for df in cache.values():
-                df.unpersist()
-            cache.clear()
-        self._views.clear()
+            df.unpersist()
+        self._relations.clear()
 
     def relation_names(self) -> list[str]:
         return sorted(self._tables)
@@ -162,112 +146,101 @@ class Catalog:
             out = out.union(d.select(F.col("value").cast(base_type)))
         return out.distinct()
 
-    def domain_values(self, key: Hashable, plan: Callable[[], DataFrame]) -> Values:
-        """The unary domain ``plan()``, collected and canonically sorted
-        the first time ``key`` is asked for, then reused until
-        :meth:`set_domain` changes a domain.
+    def domain_values(
+        self, plans: dict[Hashable, Callable[[], DataFrame]]
+    ) -> dict[Hashable, Values]:
+        """Every domain of ``plans`` (key → unary plan): its column and its
+        values, canonically sorted.
 
-        ``key`` is ``(attrs(X), θ_X)``: the occurrences whose domains
-        ``plan`` unions, in order, and the constant comparisons it
-        filters them by, so a filtered and an unfiltered domain of one
-        attribute never share an entry.
+        The domains the catalog does not hold yet are collected together,
+        one SELECT each in one statement and one Spark action; later calls
+        reuse them until :meth:`set_domain` changes a domain. A key is
+        ``(attrs(X), θ_X)``: the occurrences whose domains the plan unions,
+        in order, and the constant comparisons it filters them by, so a
+        filtered and an unfiltered domain of one attribute never share an
+        entry.
         """
-        hit = self._domain_values.get(key)
-        if hit is None:
-            hit = self._domain_values[key] = collect_values(plan())
-        return hit
-
-    def fill_domains(self, plans: dict[Hashable, Callable[[], DataFrame]]) -> None:
-        """Collect every domain of ``plans`` (key → plan, as in
-        :meth:`domain_values`) that the catalog does not hold yet, all in
-        one Spark action; later :meth:`domain_values` calls find them."""
         missing = {k: p() for k, p in plans.items() if k not in self._domain_values}
         if missing:
-            dfs = list(missing.values())
-            for key, df, rows in zip(missing, dfs, collect_tagged(dfs)):
-                self._domain_values[key] = _values(df, rows)
+            stmt = Statement(self.spark)
+            for df in missing.values():
+                stmt.add(f"SELECT * FROM {stmt.frame(df)}", 1)
+            for (key, df), rows in zip(missing.items(), stmt.collect()):
+                values = tuple(r[0] for r in canonical_sort(rows))
+                self._domain_values[key] = df.schema[0], values
+        return {k: self._domain_values[k] for k in plans}
 
     def domain_size(self, occurrences: list[Occurrence]) -> int:
         key = (tuple(occurrences), ())
-        return len(self.domain_values(key, lambda: self.domain(occurrences))[1])
-
-    def result(self, program: Program) -> DataFrame:
-        """Q(D) for ``program``: evaluated and persisted on first use,
-        then reused. An evicted cache entry is recomputed by Spark."""
-        df = self._results.get(program)
-        if df is None:
-            df = self._results[program] = evaluate(self, program).persist()
-        return df
+        values = self.domain_values({key: lambda: self.domain(occurrences)})
+        return len(values[key][1])
 
     def answers(self, program: Program) -> AnswerIndex:
-        """Q(D)'s answers on the driver: collected from :meth:`result` on
-        first use (which also fills its cache), then reused."""
-        index = self._answers.get(program)
-        if index is None:
-            index = self._answers[program] = AnswerIndex(self.result(program).collect())
-        return index
+        """Q(D)'s answers on the driver, collected once by
+        :meth:`result_view`."""
+        self.result_view(program)
+        return self._answers[program]
 
-    def _persisted(
-        self, cache: dict, key: Hashable, plan: Callable[[], DataFrame]
-    ) -> DataFrame:
-        """``cache[key]``, filled on first use with ``plan()`` persisted.
+    def _relation(
+        self, kind: str, key: Hashable, plan: Callable[[], DataFrame]
+    ) -> View:
+        """The view of the relation ``plan()`` persists: on the first use
+        of ``(kind, key)`` registered as a temp view together with
+        Catalyst's size estimate of it, then reused. An evicted cache
+        entry is recomputed by Spark."""
+        entry = self._relations.get((kind, key))
+        if entry is None:
+            df = plan()
+            name = f"{self._view_prefix}{len(self._relations)}"
+            df.createOrReplaceTempView(name)
+            size = df._jdf.queryExecution().optimizedPlan().stats().sizeInBytes()
+            entry = self._relations[(kind, key)] = df, View(name, int(size))
+        return entry[1]
 
-        The entry keeps one partition per core: Spark does not coalesce a
-        cached plan's shuffle partitions, and every question scans them
-        all.
+    def _persist_per_core(self, df: DataFrame) -> DataFrame:
+        """``df`` persisted in one partition per core: Spark does not
+        coalesce a cached plan's shuffle partitions, and every question
+        scans them all."""
+        return df.coalesce(self.spark.sparkContext.defaultParallelism).persist()
+
+    def result_view(self, program: Program) -> View:
+        """The view of Q(D) for ``program``, columns ``h0 … h{n-1}``.
+
+        On first use Q(D) is persisted and its answers are collected to
+        the driver (:meth:`answers`) before its size is read, so the
+        estimate is the size of the cached rows, not of the plan.
         """
-        df = cache.get(key)
-        if df is None:
-            cores = self.spark.sparkContext.defaultParallelism
-            df = cache[key] = plan().coalesce(cores).persist()
-        return df
+        def plan() -> DataFrame:
+            df = evaluate(self, program).persist()
+            self._answers[program] = AnswerIndex(df.collect())
+            return df
 
-    def goal_projection(self, atom: Atom) -> DataFrame:
-        """The distinct bindings of ``atom``'s variables (:func:`atom_df` of
-        its positive form), persisted on first use, then reused.
+        return self._relation("result", program, plan)
+
+    def goal_view(self, atom: Atom) -> View:
+        """The view of the distinct bindings of ``atom``'s variables
+        (:func:`atom_df` of its positive form); ``atom``'s sign is ignored.
 
         Goal annotation asks for the *base* rule's atoms, which no question
         changes, and applies a question's constants as filters on the
-        result, so one entry serves every question.
+        view, so one entry serves every question.
         """
         key = Atom(atom.pred, atom.args)
-        return self._persisted(self._goals, key, lambda: atom_df(self, key))
-
-    def derivations(self, rule: Rule) -> DataFrame:
-        """:func:`successful_derivations` of ``rule``, persisted on first
-        use, then reused.
-
-        Why capture asks for the *base* rule, which no question changes,
-        and applies a question's constants as filters on the result, so
-        one entry serves every question.
-        """
-        return self._persisted(
-            self._derivations, rule, lambda: successful_derivations(self, rule)
+        return self._relation(
+            "goal", key, lambda: self._persist_per_core(atom_df(self, key))
         )
 
-    def _view(self, key: Hashable, df: DataFrame) -> View:
-        """The temp view of the persisted ``df``, registered on first use
-        together with Catalyst's size estimate of ``df``."""
-        view = self._views.get(key)
-        if view is None:
-            name = f"{self._view_prefix}{len(self._views)}"
-            df.createOrReplaceTempView(name)
-            size = df._jdf.queryExecution().optimizedPlan().stats().sizeInBytes()
-            view = self._views[key] = View(name, int(size))
-        return view
-
-    def goal_view(self, atom: Atom) -> View:
-        """The view of :meth:`goal_projection`; ``atom``'s sign is ignored."""
-        key = Atom(atom.pred, atom.args)
-        return self._view(("goal", key), self.goal_projection(key))
-
-    def result_view(self, program: Program) -> View:
-        """The view of :meth:`result`, Q(D) with columns ``h0 … h{n-1}``."""
-        return self._view(("result", program), self.result(program))
-
     def derivations_view(self, rule: Rule) -> View:
-        """The view of :meth:`derivations`."""
-        return self._view(("derivations", rule), self.derivations(rule))
+        """The view of :func:`successful_derivations` of ``rule``.
+
+        Why capture asks for the *base* rule, which no question changes,
+        and applies a question's constants as filters on the view, so one
+        entry serves every question.
+        """
+        return self._relation(
+            "derivations", rule,
+            lambda: self._persist_per_core(successful_derivations(self, rule)),
+        )
 
 
 def attrs_of_vars(rule: Rule) -> dict[Var, list[Occurrence]]:

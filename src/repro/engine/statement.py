@@ -4,15 +4,19 @@ Each rule of a question contributes one SELECT: why capture's n_S cut,
 or why-not's θ_join filter, Q_der anti-join and goal annotation (Sec.
 5.2). :class:`Statement` gathers those SELECTs, the question's constants
 as named parameters of ``spark.sql`` and the DataFrames its formatter
-registers, and :meth:`Statement.collect` runs every rule as one
+registers, and :meth:`Statement.collect` runs every SELECT as one
 ``UNION ALL`` with one ``collect()``. Building the text costs no py4j
-round trip; Catalyst parses and plans it once.
+round trip; Catalyst parses and plans it once. The catalog collects the
+domains a question lacks the same way, one SELECT per domain.
 
 Relations the catalog persisted appear under the temp views the catalog
 registered for them (:class:`View`), never as formatter DataFrames: the
 formatter drops the views it registers once the statement is analysed,
-and dropping a view uncaches the plan behind it. Only the bindings a
-question draws on the driver go through the formatter.
+and dropping a view uncaches the plan behind it. Only plans that are not
+persisted go through the formatter: the domain plans and the bindings a
+question draws on the driver, which go back to Spark as a local relation
+built from an Arrow table (:func:`local_frame`), not as a pickled Python
+RDD.
 
 A join partner that is a :class:`View` gets a ``BROADCAST`` hint when
 Catalyst's size estimate of it is at most :data:`BROADCAST_LIMIT`, Spark's
@@ -21,9 +25,13 @@ shuffle join, so the driver never has to hold it.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql.pandas.types import to_arrow_schema
+from pyspark.sql.types import StructType
 
 from repro.core.ast import Comparison, Term, Var
 
@@ -61,8 +69,29 @@ def hint(partners: list[tuple[str, View]]) -> str:
     return f"/*+ BROADCAST({', '.join(small)}) */ " if small else ""
 
 
+def local_frame(
+    spark: SparkSession, rows: Sequence[Sequence], schema: StructType
+) -> DataFrame:
+    """``rows`` (tuples in ``schema``'s column order, None for null) as a
+    DataFrame that Spark plans as a ``LocalRelation``.
+
+    The rows go over as one Arrow table, which ``collect()`` turns back
+    into the same values. Timestamp columns are built timezone-naive:
+    PySpark reads those in the session time zone, as ``collect()``
+    returns them, where a UTC-typed column would shift naive values by
+    the zone's offset.
+    """
+    arrow = to_arrow_schema(schema, timestamp_utc=False)
+    columns = list(zip(*rows)) if rows else [()] * len(arrow)
+    table = pa.Table.from_arrays(
+        [pa.array(c, type=f.type) for c, f in zip(columns, arrow)], schema=arrow
+    )
+    return spark.createDataFrame(table, schema)
+
+
 class Statement:
-    """The SELECTs of one question's rules and the parameters they share."""
+    """The SELECTs of one question's rules, or of the domains a catalog
+    collects, and the parameters they share."""
 
     def __init__(self, spark: SparkSession):
         self.spark = spark
@@ -94,7 +123,7 @@ class Statement:
         return self.spark.sql(select, self.args, **self.frames)
 
     def add(self, select: str, width: int) -> None:
-        """Add one rule's SELECT, whose rows have ``width`` columns."""
+        """Add one SELECT, whose rows have ``width`` columns."""
         self.selects.append((select, width))
 
     def collect(self) -> list[list[tuple]]:
@@ -109,7 +138,7 @@ class Statement:
         starts, branches = [], []
         for i, (select, width) in enumerate(self.selects):
             starts.append(1 + sum(w for _, w in self.selects[:i]))
-            cols = [f"{i} AS __rule"]
+            cols = [f"{i} AS __branch"]
             for j, (_, w) in enumerate(self.selects):
                 if j == i:
                     cols.append("t.*")

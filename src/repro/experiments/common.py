@@ -6,7 +6,7 @@ from typing import Sequence
 from repro.core.ast import Const, Program
 from repro.core.unify import PTuple, unify_program
 from repro.engine.catalog import Catalog, canonical_sort
-from repro.provenance.whynot_full import variable_values
+from repro.provenance.whynot_full import count_all_derivations
 
 
 def bind_first_answer(
@@ -28,13 +28,8 @@ def bind_first_answer(
 def whynot_space(catalog: Catalog, program: Program, t: PTuple) -> float:
     """Derivation-space size Σ_rules Π |𝔻_v| — the provenance size the
     paper reports on the upper x-axis of Figs. 6–9 (ignores θ_join)."""
-    total = 0.0
-    for u in unify_program(program, t):
-        prod = 1.0
-        for var in u.unbound:
-            prod *= len(variable_values(catalog, u, var)[1])
-        total += prod
-    return total
+    rules = unify_program(program, t)
+    return float(sum(count_all_derivations(catalog, u) for u in rules))
 
 
 def format_rows(rows: list[dict], columns: list[str] | None = None) -> str:

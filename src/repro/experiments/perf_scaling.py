@@ -17,6 +17,7 @@ from repro.core.unify import WHY, WHYNOT, PQuestion
 from repro.engine.catalog import Catalog
 from repro.experiments.common import whynot_space
 from repro.experiments.queries import QUERIES
+from repro.provenance.why import sample_why
 from repro.summarize.pipeline import summarize
 
 
@@ -61,12 +62,10 @@ def run_perf_scaling(
                     if ns is None:
                         if qtype == WHY:
                             # FULL why: quadratic LCA input — apply the same
-                            # budget the paper's 30-minute timeout imposes
-                            from repro.provenance.why import why_provenance
-
+                            # budget the paper's 30-minute timeout imposes;
+                            # the cut counts |Why| before it keeps one row
                             n_prov = sum(
-                                df.count()
-                                for _, df in why_provenance(catalog, program, t)
+                                n for _, _, n in sample_why(catalog, program, t, 1, seed)
                             )
                             row["prov_size"] = n_prov
                             if n_prov > max(1, int(full_budget ** 0.5) * 8):

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import struct
 
-from pyspark.sql import DataFrame
-
 from repro.core.ast import Program
 from repro.core.unify import PTuple, UnifiedRule, unify_program
 from repro.engine.catalog import Catalog
@@ -42,19 +40,6 @@ def why_select(stmt: Statement, catalog: Catalog, unified: UnifiedRule) -> str:
     cols += [f"true AS {g}" for g in goal_column_names(unified.n_goals)]
     view = catalog.derivations_view(unified.base)
     return f"SELECT {', '.join(cols)} FROM {view.name}{where(conds)}"
-
-
-def why_derivations(catalog: Catalog, unified: UnifiedRule) -> DataFrame:
-    """:func:`why_select` as a DataFrame."""
-    stmt = Statement(catalog.spark)
-    return stmt.dataframe(why_select(stmt, catalog, unified))
-
-
-def why_provenance(
-    catalog: Catalog, program: Program, t: PTuple
-) -> list[tuple[UnifiedRule, DataFrame]]:
-    """Why(Q, D, t) per rule: [(unified rule, annotated derivations)]."""
-    return [(u, why_derivations(catalog, u)) for u in unify_program(program, t)]
 
 
 def _seed_bytes(seed: int) -> bytearray:

@@ -8,7 +8,9 @@ drawn bindings (:func:`whynot_select`, a Spark SQL SELECT). Its size is
 Θ(Π|𝔻_v|) — exponential in the number of unbound variables — which is
 exactly why the paper samples instead; we keep this implementation for
 small instances (tests, FULL comparisons) and guard it with
-``max_derivations``.
+``max_derivations``. :func:`whynot_full` collects every rule's rows with
+one statement; :func:`full_select` is one rule's SELECT, which the
+Artemis baseline aggregates in Spark.
 """
 from __future__ import annotations
 
@@ -73,16 +75,16 @@ def _domain_key(unified: UnifiedRule, var: Var) -> tuple:
 def variable_values(catalog: Catalog, unified: UnifiedRule, var: Var) -> Values:
     """:func:`variable_domain` collected and canonically sorted, once per
     catalog and (attrs(X), θ_X)."""
-    field, values = catalog.domain_values(
-        _domain_key(unified, var), lambda: variable_domain(catalog, unified, var)
-    )
+    key = _domain_key(unified, var)
+    plans = {key: lambda: variable_domain(catalog, unified, var)}
+    field, values = catalog.domain_values(plans)[key]
     return StructField(var.name, field.dataType, field.nullable), values
 
 
 def fill_variable_domains(catalog: Catalog, rules: list[UnifiedRule]) -> None:
     """Collect in one Spark action every catalog domain that the unbound
     variables of ``rules`` need and the catalog does not hold yet."""
-    catalog.fill_domains({
+    catalog.domain_values({
         _domain_key(u, v): (lambda u=u, v=v: variable_domain(catalog, u, v))
         for u in rules
         for v in u.unbound
@@ -146,14 +148,15 @@ def whynot_select(
     return annotate_select(stmt, catalog, unified, f"({der})")
 
 
-def _full_select(
+def full_select(
     stmt: Statement,
     catalog: Catalog,
     program: Program,
     unified: UnifiedRule,
     max_derivations: int | None,
 ) -> str:
-    """:func:`whynot_select` over the domains' cross product.
+    """:func:`whynot_select` over the domains' cross product: Whynot(Q, D, t)
+    restricted to one rule, columns the unbound variables, then ``g1 … gm``.
 
     Raises ``ValueError`` when the derivation space exceeds
     ``max_derivations`` (the stand-in for the paper's FULL timeouts).
@@ -174,53 +177,23 @@ def _full_select(
     return whynot_select(stmt, catalog, program, unified, stmt.frame(vals))
 
 
-def whynot_full_rule(
-    catalog: Catalog,
-    program: Program,
-    unified: UnifiedRule,
-    max_derivations: int | None = 5_000_000,
-) -> DataFrame:
-    """Whynot(Q, D, t) restricted to one rule, fully materializable:
-    columns are the unbound variables, then ``g1 … gm``.
-
-    Raises ``ValueError`` when the derivation space exceeds
-    ``max_derivations`` (the stand-in for the paper's FULL timeouts).
-    """
-    stmt = Statement(catalog.spark)
-    select = _full_select(stmt, catalog, program, unified, max_derivations)
-    return stmt.dataframe(select)
-
-
 def whynot_full(
     catalog: Catalog,
     program: Program,
     t: PTuple,
     max_derivations: int | None = 5_000_000,
-) -> list[tuple[UnifiedRule, DataFrame]]:
-    """Whynot(Q, D, t) per rule: [(unified rule, annotated derivations)].
+) -> list[tuple[UnifiedRule, list[tuple]]]:
+    """Whynot(Q, D, t) per rule: [(unified rule, annotated derivations)],
+    each row the rule's unbound variables, then ``g1 … gm``.
 
     Every domain the rules need and the catalog lacks is collected first,
-    in one Spark action.
+    in one Spark action; then every rule's rows come from one statement
+    and one ``collect()``.
     """
-    rules = unify_program(program, t)
-    fill_variable_domains(catalog, rules)
-    return [
-        (u, whynot_full_rule(catalog, program, u, max_derivations)) for u in rules
-    ]
-
-
-def collect_whynot_full(
-    catalog: Catalog,
-    program: Program,
-    t: PTuple,
-    max_derivations: int | None = 5_000_000,
-) -> list[tuple[UnifiedRule, list[tuple]]]:
-    """The rows of :func:`whynot_full`, every rule's from one statement
-    and one ``collect()``."""
     rules = unify_program(program, t)
     fill_variable_domains(catalog, rules)
     stmt = Statement(catalog.spark)
     for u in rules:
-        select = _full_select(stmt, catalog, program, u, max_derivations)
+        select = full_select(stmt, catalog, program, u, max_derivations)
         stmt.add(select, len(u.unbound) + u.n_goals)
     return list(zip(rules, stmt.collect()))

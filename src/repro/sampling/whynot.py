@@ -15,20 +15,21 @@ Work that touches the database stays in Catalyst: the domains, Q(D),
 the anti-join and the goal annotation. The domains, Q(D) and the goal
 relations do not depend on the question, so the catalog computes them
 once and every question reuses them (``Catalog.domain_values``,
-``Catalog.result``, ``Catalog.goal_projection``); the domains a question
+``Catalog.result_view``, ``Catalog.goal_view``); the domains a question
 finds missing are collected together, in one action. σ_t's count for
-p_prov and the ground-head existence check read ``Catalog.answers``, Q(D)'s
-answers collected once to the driver. The draws are made on the driver
-(``repro.sampling.ops``) and deduplicated there, since a derivation's
-annotation is a function of its binding. Every rule's n_OS is thus known
-before Spark runs. Each rule's bindings go back to Spark as a local
-relation built from an Arrow table (``repro.engine.tagged.local_frame``),
-not as a pickled Python RDD, and steps 1–3 of all rules of a UCQ run as
-one plan over them, tagged by rule, with one ``collect()``. Each rule's
-n_S cut is drawn on the driver from its canonically sorted survivors. A
-rule's draws come from one ``numpy.random.Generator`` seeded with its
-seed, so the sample depends on (data, question, seed, n_S) alone, not on
-Spark's partitioning.
+p_prov and the check that every head a rule can derive exists read
+``Catalog.answers``, Q(D)'s answers collected once to the driver. The
+draws are made on the driver (``repro.sampling.ops``) and deduplicated
+there, since a derivation's annotation is a function of its binding.
+Every rule's n_OS is thus known before Spark runs. Each rule's bindings
+go back to Spark as a local relation built from an Arrow table
+(``repro.engine.statement.local_frame``), not as a pickled Python RDD,
+and steps 2–3 of all rules of a UCQ run as one Spark SQL statement over
+them, tagged by rule, with one ``collect()``. Each rule's n_S cut is
+drawn on the driver from its canonically sorted survivors. A rule's
+draws come from one ``numpy.random.Generator`` seeded with its seed, so
+the sample depends on (data, question, seed, n_S) alone, not on Spark's
+partitioning.
 """
 from __future__ import annotations
 
@@ -41,8 +42,7 @@ from pyspark.sql.types import BooleanType, StructField, StructType
 from repro.core.ast import Program, Var
 from repro.core.unify import PTuple, UnifiedRule, unify_program
 from repro.engine.catalog import AnswerIndex, Catalog, canonical_sort
-from repro.engine.statement import Statement
-from repro.engine.tagged import local_frame
+from repro.engine.statement import Statement, local_frame
 from repro.provenance.annotate import goal_column_names, head_constants
 from repro.provenance.whynot_full import (
     fill_variable_domains,
@@ -144,8 +144,9 @@ def _draw(
         unified,
         {f.name: set(v) for f, v in zip(fields, values) if f.name in head_vars},
     )
-    if not head_vars and n_existing > 0:
-        # the (single) head this rule can produce exists → Whynot is empty
+    if n_existing == math.prod(dom_sizes[v] for v in head_vars):
+        # every head this rule can derive exists (a ground head: its one
+        # head) → every derivation is Q_der's, and Whynot is empty
         return sample
     p_prov = p_prov_estimate(unified, n_existing, dom_sizes)
     _, var_var = split_comparisons(unified)

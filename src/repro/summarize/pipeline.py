@@ -31,7 +31,7 @@ from repro.patterns.lca import lca_codes
 from repro.patterns.matching import Candidates, count_matches
 from repro.patterns.pattern import Pattern
 from repro.provenance.why import sample_why
-from repro.provenance.whynot_full import collect_whynot_full
+from repro.provenance.whynot_full import whynot_full
 from repro.sampling.whynot import sample_whynot
 from repro.summarize.metrics import SampleStore, harmonic, info_of_set
 from repro.summarize.topk import SearchResult, rank_order, topk_bestfirst
@@ -108,7 +108,7 @@ def _capture(
             )
         return out
     if use_full:
-        for u, rows in collect_whynot_full(
+        for u, rows in whynot_full(
             catalog, program, question.ptuple, max_full_derivations
         ):
             if rows:

@@ -25,12 +25,11 @@ class TestSingleDerivation:
         assert p.count == 1
         assert all(a is not None for a in p.args)  # fully constant
         # it must be a real why-not derivation
-        (_, full_df), = whynot_full(
+        (u, full_rows), = whynot_full(
             catalog, prog, parse_ptuple("Qex(X, 4)")
         )
-        full = {
-            ((r["X"], r["Z"]), (r["g1"], r["g2"])) for r in full_df.collect()
-        }
+        assert [v.name for v in u.unbound] == ["X", "Z"]
+        full = {(r[:2], r[2:]) for r in full_rows}  # (X, Z), (g1, g2)
         assert (p.args, p.goals) in full
 
     def test_airbnb(self, spark):
@@ -59,6 +58,32 @@ class TestArtemis:
         exp = artemis_explain(catalog, prog, parse_ptuple("Qex(X, 4)"))
         top = exp.top()
         assert top.count == max(p.count for p in exp.patterns)
+
+    @pytest.mark.parametrize("name", ["rex", "airbnb"])
+    def test_groups_equal_a_grouping_of_whynot_full(self, spark, rex, name):
+        # per goal vector: the number of derivations, and the constants
+        # every derivation of the group agrees on
+        if name == "rex":
+            (catalog, prog), t = rex, parse_ptuple("Qex(X, 4)")
+        else:
+            catalog, prog = Catalog(spark, s_airbnb(spark)), airbnb_program()
+            t = parse_ptuple("AL(N, shared)")
+        want = {}
+        for u, rows in whynot_full(catalog, prog, t):
+            n = len(u.unbound)
+            groups = {}
+            for r in rows:
+                groups.setdefault(r[n:], []).append(r[:n])
+            for goals, args in groups.items():
+                agreed = tuple(
+                    col[0] if len(set(col)) == 1 else None for col in zip(*args)
+                )
+                want[(u.rule_id, goals)] = (len(args), agreed)
+        exp = artemis_explain(catalog, prog, t)
+        got = {(p.rule_id, p.goals): (p.count, p.args) for p in exp.patterns}
+        assert len(got) == len(exp.patterns) > 1
+        assert got == want
+        assert exp.n_derivations == sum(n for n, _ in want.values())
 
     def test_timeout_guard(self, spark):
         db = witness_db(spark, n=400, seed=0)

@@ -23,7 +23,7 @@ from repro.core.sqlgen import program_to_sql, rule_to_sql
 from repro.datasets.graph_r import graph_r, rex_program
 from repro.engine.catalog import Catalog
 from repro.engine.eval import evaluate, evaluate_rule, successful_derivations
-from repro.engine.tagged import local_frame
+from repro.engine.statement import local_frame
 from repro.oracle import assert_equivalent
 
 

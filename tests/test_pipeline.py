@@ -12,7 +12,7 @@ from repro.datasets.license import license_db, r1_program
 from repro.datasets.movies import movies, r4_program
 from repro.core.ast import parse_program
 from repro.engine.catalog import Catalog
-from repro.provenance.why import why_provenance
+from repro.provenance.why import sample_why
 from repro.summarize.topk import rank_key
 from repro.summarize.pipeline import (
     MAX_PATTERNS,
@@ -164,11 +164,11 @@ class TestWhyCount:
     def test_n_survivors_is_why_count(self, license_1k, ptuple, n_s):
         catalog, prog = license_1k
         t = parse_ptuple(ptuple)
-        ((_, df),) = why_provenance(catalog, prog, t)
+        ((_, rows, _),) = sample_why(catalog, prog, t, 1 << 30, 0)
         s = summarize_why(catalog, prog, t, k=3, n_s=n_s, seed=0)
         (stats,) = s.per_rule
-        assert stats["n_survivors"] == df.count()
-        assert stats["n_sample"] == min(n_s, df.count())
+        assert stats["n_survivors"] == len(rows)
+        assert stats["n_sample"] == min(n_s, len(rows))
 
     def test_limit_dropped_with_exactly_n_s_derivations(self, spark):
         # five derivations over a five-row local relation: Spark knows

@@ -44,6 +44,27 @@ def test_methods_exist(layers):
             assert callable(vars(cls)[m]), path + "." + m
 
 
+def test_hooks_name_traced_functions(layers):
+    """A hook runs when the tracer's wrapper of the function it names
+    returns; a key that names no traced function never runs, and the
+    metrics it feeds read 0 instead of failing."""
+    traced = set()
+    for name in layers.MODULES:
+        mod = importlib.import_module(name)
+        traced |= {
+            attr
+            for attr, fn in vars(mod).items()
+            if isinstance(fn, types.FunctionType)
+            and fn.__module__ == name
+            and not attr.startswith("_")
+            and attr not in layers.HOT
+        }
+    for methods in layers.METHODS.values():
+        traced |= set(methods)
+    hooks = layers.Tracer(None)._hooks()
+    assert hooks and set(hooks) <= traced, set(hooks) - traced
+
+
 def test_actions_are_dataframe_methods(layers):
     for name in layers.ACTIONS:
         assert callable(getattr(DataFrame, name)), name

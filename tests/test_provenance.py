@@ -22,19 +22,13 @@ from repro.engine.statement import Statement
 from repro.provenance.annotate import annotate_select
 from repro.engine.statement import quote
 from repro.provenance.annotate import goal_column_names
-from repro.provenance.why import (
-    sample_why,
-    why_derivations,
-    why_provenance,
-    why_select,
-)
+from repro.provenance.why import sample_why, why_select
 from repro.summarize.pipeline import summarize_why
 from repro.provenance.whynot_full import (
     all_valuations,
     count_all_derivations,
     der_select,
     whynot_full,
-    whynot_full_rule,
 )
 from tests.test_sampling import _actions_of
 
@@ -49,48 +43,63 @@ def airbnb(spark):
     return Catalog(spark, s_airbnb(spark)), airbnb_program()
 
 
+#: An n_S above every |Why| below: the cut keeps every derivation.
+ALL = 1 << 30
+
+
+def _records(u, rows):
+    """Rows of one rule as dicts keyed by column: the unbound variables,
+    then ``g1 … gm``."""
+    names = [v.name for v in u.unbound] + goal_column_names(u.n_goals)
+    return [dict(zip(names, r)) for r in rows]
+
+
 class TestWhy:
     def test_rex_why_all_goals_true(self, rex):
         catalog, prog = rex
-        u = unify_rule(prog.rules[0], parse_ptuple("Qex(X, 4)"))
-        d = why_derivations(catalog, u)
-        rows = {(r["X"], r["Z"], r["g1"], r["g2"]) for r in d.collect()}
+        ((u, d, _),) = sample_why(catalog, prog, parse_ptuple("Qex(X, 4)"), ALL, 0)
+        rows = {(r["X"], r["Z"], r["g1"], r["g2"]) for r in _records(u, d)}
         # only existing answer matching Qex(X,4) is (1,4) via 1-2-4
         assert rows == {(1, 2, True, True)}
 
     def test_why_provenance_multi(self, rex):
         catalog, prog = rex
-        pairs = why_provenance(catalog, prog, parse_ptuple("Qex(X, Y)"))
-        assert len(pairs) == 1
-        u, df = pairs[0]
-        assert df.count() == 3  # three successful derivations
+        triples = sample_why(catalog, prog, parse_ptuple("Qex(X, Y)"), ALL, 0)
+        assert len(triples) == 1
+        u, rows, n = triples[0]
+        assert len(rows) == n == 3  # three successful derivations
 
     def test_airbnb_why(self, airbnb):
         catalog, prog = airbnb
-        pairs = why_provenance(catalog, prog, parse_ptuple("AL(N, R)"))
-        _, df = pairs[0]
-        rows = {tuple(r) for r in df.collect()}
+        triples = sample_why(catalog, prog, parse_ptuple("AL(N, R)"), ALL, 0)
+        _, rows, _ = triples[0]
+        rows = set(rows)
         # two successful derivations: cozy homebase (2445, $45) and
         # modern view (2332, $350)
         assert len(rows) == 2
 
 
 class TestWhyFromCatalog:
-    """``why_derivations`` filters the catalog's persisted derivations of
-    the base rule; its oracle evaluates the unified rule from scratch."""
+    """``sample_why`` filters the catalog's persisted derivations of the
+    base rule; its oracle evaluates the unified rule from scratch."""
 
     @staticmethod
     def _check(catalog, program, ptuple):
         """Per rule of ``program``: the derivations both paths agree on."""
-        rules = unify_program(program, parse_ptuple(ptuple))
+        t = parse_ptuple(ptuple)
+        rules = unify_program(program, t)
         assert rules
+        cut = {
+            u.rule_id: (rows, k)
+            for u, rows, k in sample_why(catalog, program, t, ALL, 0)
+        }
         out = []
         for u in rules:
             names = [v.name for v in u.unbound]
             n = len(names)
-            fast = why_derivations(catalog, u)
-            assert fast.columns[:n] == names
-            rows = fast.collect()
+            rows, k = cut.get(u.rule_id, ([], 0))
+            assert len(rows) == k  # the cut keeps them all
+            assert all(len(r) == n + u.n_goals for r in rows)
             assert all(all(r[n:]) for r in rows)
             oracle = successful_derivations(catalog, u.rule)
             assert oracle.columns == names
@@ -142,12 +151,12 @@ class TestWhyFromCatalog:
     ):
         catalog = Catalog(spark, license_db(spark, n=300, seed=0))
         prog = r1_program()
-        (u1,) = unify_program(prog, parse_ptuple("InvalidD('city_1')"))
-        (u2,) = unify_program(prog, parse_ptuple("InvalidD(C)"))
-        assert why_derivations(catalog, u1).collect()
+        t1 = parse_ptuple("InvalidD('city_1')")
+        t2 = parse_ptuple("InvalidD(C)")
+        assert sample_why(catalog, prog, t1, ALL, 0)
         persisted = spark.sparkContext._jsc.getPersistentRDDs().size()
         rows, actions = _actions_of(
-            monkeypatch, spark, lambda: why_derivations(catalog, u2).collect()
+            monkeypatch, spark, lambda: sample_why(catalog, prog, t2, ALL, 0)
         )
         assert rows and actions == ["collect"]
         assert spark.sparkContext._jsc.getPersistentRDDs().size() == persisted
@@ -222,15 +231,15 @@ class TestWhynotFull:
         # 18 valuations minus the 6 derivations of existing answer (1,4)
         catalog, prog = rex
         full = whynot_full(catalog, prog, parse_ptuple("Qex(X, 4)"))
-        (_, df), = full
-        assert df.count() == 12
-        assert {r["X"] for r in df.collect()} == {2, 3}
+        (u, df), = full
+        assert len(df) == 12
+        assert {r["X"] for r in _records(u, df)} == {2, 3}
 
     def test_example6_annotations(self, rex):
         catalog, prog = rex
         full = whynot_full(catalog, prog, parse_ptuple("Qex(X, 4)"))
-        (_, df), = full
-        rows = {(r["X"], r["Z"]): (r["g1"], r["g2"]) for r in df.collect()}
+        (u, df), = full
+        rows = {(r["X"], r["Z"]): (r["g1"], r["g2"]) for r in _records(u, df)}
         assert rows[(2, 2)] == (False, True)   # R(2,2) missing, R(2,4) exists
         assert rows[(2, 4)] == (True, False)   # R(2,4) exists, R(4,4) missing
         assert rows[(2, 3)] == (True, False)   # R(2,3) exists, R(3,4) missing
@@ -247,15 +256,18 @@ class TestWhynotFull:
         catalog, prog = airbnb
         full = whynot_full(catalog, prog, parse_ptuple("AL(N, shared)"))
         (_, df), = full
-        assert df.count() == 2160
+        assert len(df) == 2160
 
     def test_airbnb_p1_match_count(self, airbnb):
         # pattern p1 (Fig. 2b): T = apt, goals (T, F) — matches exactly
         # the 8 derivations of the two unavailable shared apartments
         catalog, prog = airbnb
         full = whynot_full(catalog, prog, parse_ptuple("AL(N, shared)"))
-        (_, df), = full
-        n = df.filter("T = 'apt' AND g1 = true AND g2 = false").count()
+        (u, df), = full
+        n = sum(
+            r["T"] == "apt" and r["g1"] is True and r["g2"] is False
+            for r in _records(u, df)
+        )
         assert n == 8
 
     def test_budget_guard(self, airbnb):
@@ -271,14 +283,14 @@ class TestWhynotFull:
         t = parse_ptuple("Qex(2, 4)")  # missing answer, X bound too
         full = whynot_full(catalog, prog, t)
         (_, df), = full
-        assert df.count() == 6  # all Z values, head is missing
+        assert len(df) == 6  # all Z values, head is missing
 
     def test_fully_bound_existing_head(self, rex):
         catalog, prog = rex
         t = parse_ptuple("Qex(1, 4)")  # existing answer → empty why-not
         full = whynot_full(catalog, prog, t)
         (_, df), = full
-        assert df.count() == 0
+        assert len(df) == 0
 
 
 def _annotated(catalog, u, deriv):

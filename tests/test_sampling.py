@@ -6,6 +6,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 from pyspark.sql import SparkSession
+from pyspark.sql.types import IntegerType
 
 from repro.core.ast import Var, parse_program
 from repro.core.unify import (
@@ -21,15 +22,22 @@ from repro.datasets.graph_r import graph_r, rex_catalog, rex_program
 from repro.datasets.license import license_db, r1_program, r2_program
 from repro.engine.catalog import Catalog, canonical_sort
 from repro.engine.eval import successful_derivations
-from repro.provenance.whynot_full import variable_values, whynot_full
+from repro.provenance.whynot_full import (
+    fill_variable_domains,
+    variable_domain,
+    variable_values,
+    whynot_full,
+)
 from repro.sampling.ops import sample_with_replacement
 from repro.sampling.whynot import sample_whynot, sample_whynot_rule
 from repro.summarize.pipeline import summarize
 
 
-def _records(rs):
-    """A RuleSample's rows as dicts keyed by its schema's column names."""
-    return [dict(zip(rs.schema.names, r)) for r in rs.rows]
+def _records(rs, rows=None):
+    """A RuleSample's rows, or ``rows`` of the same rule, as dicts keyed
+    by its schema's column names."""
+    rows = rs.rows if rows is None else rows
+    return [dict(zip(rs.schema.names, r)) for r in rows]
 
 
 @pytest.fixture(scope="module")
@@ -92,11 +100,9 @@ class TestSampleWhynot:
         rs = sample_whynot_rule(catalog, prog, u, n_s=30, seed=0)
         rows = {(r["X"], r["Z"], r["g1"], r["g2"]) for r in _records(rs)}
         assert rows  # non-empty
-        from repro.provenance.whynot_full import whynot_full
-
-        (_, full_df), = whynot_full(catalog, prog, parse_ptuple("Qex(X, 4)"))
+        (_, full_rows), = whynot_full(catalog, prog, parse_ptuple("Qex(X, 4)"))
         full = {
-            (r["X"], r["Z"], r["g1"], r["g2"]) for r in full_df.collect()
+            (r["X"], r["Z"], r["g1"], r["g2"]) for r in _records(rs, full_rows)
         }
         assert rows <= full
 
@@ -145,16 +151,14 @@ class TestSampleWhynot:
         # every sampled derivation's annotations must match the full
         # enumeration (same derivation → same goal vector)
         catalog, prog = airbnb
-        from repro.provenance.whynot_full import whynot_full
-
-        (_, full_df), = whynot_full(catalog, prog, parse_ptuple("AL(N, shared)"))
-        full = {
-            (r["N"], r["I"], r["T"], r["E"], r["P"]): (r["g1"], r["g2"])
-            for r in full_df.collect()
-        }
         samples = sample_whynot(
             catalog, prog, parse_ptuple("AL(N, shared)"), n_s=50, seed=4
         )
+        (_, full_rows), = whynot_full(catalog, prog, parse_ptuple("AL(N, shared)"))
+        full = {
+            (r["N"], r["I"], r["T"], r["E"], r["P"]): (r["g1"], r["g2"])
+            for r in _records(samples[0], full_rows)
+        }
         for r in _records(samples[0]):
             key = (r["N"], r["I"], r["T"], r["E"], r["P"])
             assert full[key] == (r["g1"], r["g2"])
@@ -388,6 +392,45 @@ class TestCatalogReuse:
             assert variable_values(catalog, u1, B) == fresh_all
             assert catalog.domain_size([("LICENSE", 1)]) == len(fresh_all[1])
 
+    def test_one_collect_fills_the_domains_a_direct_collect_gives(
+        self, spark, monkeypatch
+    ):
+        # attrs(X) = {R.a INT, S.c BIGINT}, both with a NULL, filtered by
+        # θ_X = X != 3; Y's and Z's domains keep their NULL
+        tables = {
+            "R": spark.createDataFrame(
+                [(1, 10), (2, None), (3, 30), (None, 10)], "a int, b bigint"
+            ),
+            "S": spark.createDataFrame(
+                [(2, "x"), (5, None), (None, "y")], "c bigint, d string"
+            ),
+        }
+        prog = parse_program("Q(X) :- R(X, Y), S(X, Z), X != 3.")
+        (u,) = unify_program(prog, parse_ptuple("Q(X)"))
+        catalog = Catalog(spark, tables)
+        _, actions = _actions_of(
+            monkeypatch, spark, lambda: fill_variable_domains(catalog, [u])
+        )
+        assert actions == ["collect"]
+        got, actions = _actions_of(
+            monkeypatch, spark,
+            lambda: [variable_values(catalog, u, v) for v in u.unbound],
+        )
+        assert actions == []
+        for var, (field, values) in zip(u.unbound, got):
+            direct = variable_domain(catalog, u, var)
+            assert field.name == var.name
+            assert field.dataType == direct.schema[0].dataType
+            assert values == tuple(r[0] for r in canonical_sort(direct.collect()))
+        assert [values for _, values in got] == [
+            (1, 2, 5), (10, 30, None), ("x", "y", None)
+        ]
+        assert got[0][0].dataType == IntegerType()  # R.a's type, first in attrs(X)
+        size, actions = _actions_of(
+            monkeypatch, spark, lambda: catalog.domain_size([("R", 1)])
+        )
+        assert size == 3 and actions == []  # Y's domain: the same entry
+
     def test_set_domain_reaches_every_variable_of_the_attribute(self, spark):
         # attrs(X) = {R.a}, attrs(Z) = {R.b, R.a}: overriding R.a fixes X
         # and joins Z's union. Qex(X, Y) leaves X < Y to θ_join, so X's
@@ -525,8 +568,7 @@ class TestOneAction:
             monkeypatch, spark, lambda: sample_whynot(catalog, prog, t, n_s=50)
         )
         assert actions == ["collect"]
-        full = {u.rule_id: {tuple(r) for r in df.collect()}
-                for u, df in whynot_full(catalog, prog, t)}
+        full = {u.rule_id: set(rows) for u, rows in whynot_full(catalog, prog, t)}
         assert {rs.rule_id: set(rs.rows) for rs in samples} == full
         assert full["r"] == {(2, 1, False, True), (2, 2, True, False),
                              (2, 3, False, True)}
@@ -626,8 +668,8 @@ class TestBindingsTransfer:
         })
         prog = parse_program("Q(X) :- R(X, Y), not S(Y).")
         t = parse_ptuple("Q(X)")
-        ((_, full_df),) = whynot_full(catalog, prog, t)
-        full = canonical_sort(full_df.collect())
+        ((_, full_rows),) = whynot_full(catalog, prog, t)
+        full = canonical_sort(full_rows)
         assert full == [
             (2, 1, False, True), (2, 2, True, False), (2, None, False, True),
             (None, 1, False, True), (None, 2, False, False),
@@ -665,15 +707,38 @@ class TestEdgeCases:
 
     def test_ground_negated_goal_that_holds_gives_empty_sample(self, spark):
         # ¬S(5) holds, and every X in R's domain has its answer via Y = X:
-        # every derivation derives an existing answer
+        # every derivation derives an existing answer, and the answer index
+        # shows it before anything is drawn
         catalog = Catalog(
             spark, {k: spark.createDataFrame(v) for k, v in _UNION_DB.items()}
         )
         prog = parse_program("Q(X) :- R(X, Y), not S(5).")
         (rs,) = sample_whynot(catalog, prog, parse_ptuple("Q(X)"), n_s=20)
-        assert rs.n_os > 0 and rs.rows == [] and rs.n_survivors == 0
+        assert rs.n_os == 0 and rs.rows == [] and rs.n_survivors == 0
         ((_, full),) = whynot_full(catalog, prog, parse_ptuple("Q(X)"))
-        assert full.count() == 0
+        assert len(full) == 0
+
+    def test_every_head_value_existing_draws_nothing(self, spark, monkeypatch):
+        # Q(D) = {Q(1), Q(2)} holds every value of X's domain: Whynot is
+        # empty. Nothing is drawn, no shortfall is reported, and once the
+        # catalog holds Q(D) and the domains no Spark action runs.
+        catalog = Catalog(spark, {
+            "R": spark.createDataFrame([(1, 1), (2, 2), (1, 2)], "a long, b long"),
+        })
+        prog = parse_program("Q(X) :- R(X, Y).")
+        t = parse_ptuple("Q(X)")
+        (rs,), actions = _actions_of(
+            monkeypatch, spark, lambda: sample_whynot(catalog, prog, t, n_s=20)
+        )
+        assert rs.rows == [] and rs.n_survivors == 0
+        assert rs.n_os == 0 and not rs.capped
+        assert actions == ["collect", "collect"]  # Q(D), then the domains
+        _, actions = _actions_of(
+            monkeypatch, spark, lambda: sample_whynot(catalog, prog, t, n_s=20)
+        )
+        assert actions == []
+        ((_, full),) = whynot_full(catalog, prog, t)
+        assert full == []
 
     def test_null_head_answer_is_not_counted_as_existing(self, spark):
         # Q(D) = {Q(1), Q(NULL)}. Q_der's anti-join compares with SQL =,
@@ -689,6 +754,6 @@ class TestEdgeCases:
         t = parse_ptuple("Q(X)")
         (rs,) = sample_whynot(catalog, prog, t, n_s=50, seed=0)
         assert rs.p_prov == pytest.approx(2 / 3)
-        ((_, full_df),) = whynot_full(catalog, prog, t)
-        full = set(map(tuple, full_df.collect()))
+        ((_, full_rows),) = whynot_full(catalog, prog, t)
+        full = set(full_rows)
         assert rs.rows and set(rs.rows) <= full
