@@ -85,13 +85,16 @@ class UnifiedRule:
     ``binding`` maps the bound head variables to their constants;
     ``unbound`` lists the remaining variables in the paper's
     first-occurrence order (these are the arguments of derivations and
-    patterns produced for this rule).
+    patterns produced for this rule). ``equal_positions`` holds the pairs
+    ``(i, j)`` of head positions whose values r_t's comparisons require
+    equal (:func:`_placeholder_equalities`).
     """
 
     rule: Rule
     base: Rule
     binding: dict[Var, Const] = field(hash=False)
     unbound: tuple[Var, ...]
+    equal_positions: tuple[tuple[int, int], ...]
 
     @property
     def rule_id(self) -> str:
@@ -110,6 +113,21 @@ def _substitute_atom(a: Atom, binding: dict[Var, Const]) -> Atom:
     return Atom(a.pred, tuple(_substitute_term(t, binding) for t in a.args), a.negated)
 
 
+def _placeholder_equalities(head: Atom, t: PTuple) -> tuple[tuple[int, int], ...]:
+    """The pairs ``(i, j)``, i < j, of head positions where ``t`` repeats
+    a placeholder over two different head arguments: a derivation matches
+    ``t`` only if its head holds equal values at both, so unification adds
+    the comparison ``head.args[i] = head.args[j]``."""
+    first: dict[Term, int] = {}
+    out = []
+    for j, (harg, targ) in enumerate(zip(head.args, t.args)):
+        if isinstance(targ, Var):
+            i = first.setdefault(targ, j)
+            if head.args[i] != harg:
+                out.append((i, j))
+    return tuple(out)
+
+
 def unify_rule(rule: Rule, t: PTuple) -> UnifiedRule | None:
     """Unify ``rule`` with p-tuple ``t`` (Sec. 5.2, "Generating Derivations").
 
@@ -121,8 +139,6 @@ def unify_rule(rule: Rule, t: PTuple) -> UnifiedRule | None:
     if rule.head.pred != t.pred or rule.head.arity != t.arity:
         return None
     binding: dict[Var, Const] = {}
-    placeholder_pos: dict[Var, Term] = {}
-    extra_comparisons: list[Comparison] = []
     for harg, targ in zip(rule.head.args, t.args):
         if isinstance(targ, Const):
             if isinstance(harg, Const):
@@ -133,11 +149,11 @@ def unify_rule(rule: Rule, t: PTuple) -> UnifiedRule | None:
                 if prev is not None and prev.value != targ.value:
                     return None
                 binding[harg] = targ
-        else:  # placeholder: repeated placeholders force head-arg equality
-            prev = placeholder_pos.get(targ)
-            if prev is not None and prev != harg:
-                extra_comparisons.append(Comparison(prev, "=", harg))
-            placeholder_pos.setdefault(targ, harg)
+    equal_positions = _placeholder_equalities(rule.head, t)
+    extra_comparisons = [
+        Comparison(rule.head.args[i], "=", rule.head.args[j])
+        for i, j in equal_positions
+    ]
 
     head = _substitute_atom(rule.head, binding)
     body = tuple(_substitute_atom(g, binding) for g in rule.body)
@@ -153,7 +169,10 @@ def unify_rule(rule: Rule, t: PTuple) -> UnifiedRule | None:
             comparisons.append(sub)
     unified = Rule(head, body, tuple(comparisons), rule_id=rule.rule_id)
     unbound = tuple(v for v in vars_in_order(rule) if v not in binding)
-    return UnifiedRule(rule=unified, base=rule, binding=binding, unbound=unbound)
+    return UnifiedRule(
+        rule=unified, base=rule, binding=binding, unbound=unbound,
+        equal_positions=equal_positions,
+    )
 
 
 def unify_program(program: Program, t: PTuple) -> list[UnifiedRule]:

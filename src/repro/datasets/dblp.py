@@ -28,7 +28,9 @@ def dblp(
     spark: SparkSession, n_edges: int = 5000, n_authors: int = 500, seed: int = 0
 ) -> dict[str, DataFrame]:
     g = np.random.default_rng(seed)
-    authors = np.array([f"auth_{i}" for i in range(n_authors)])
+    # a list, so that authors[0] is a str: Spark cannot infer a column type
+    # from numpy.str_ values when it builds the table without Arrow
+    authors = [f"auth_{i}" for i in range(n_authors)]
     edges = pd.DataFrame(
         {
             "a": g.choice(authors, n_edges),

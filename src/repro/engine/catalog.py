@@ -13,8 +13,9 @@ successful derivations depend on the database and the query, not on the
 provenance question. The catalog computes each on first use and every
 later question reuses it: the collected domains, each Q(D) with its
 driver-side :class:`AnswerIndex`, each goal's projection and each base
-rule's successful derivations. A question applies its constants as
-filters on these relations. The domains a why-not question lacks are
+rule's successful derivations with their count per head, an
+:class:`AnswerIndex` too. A question applies its constants as filters on
+these relations. The domains a why-not question lacks are
 collected together, in one Spark action (:meth:`Catalog.domain_values`).
 
 Questions reach the persisted relations through Spark SQL
@@ -58,16 +59,18 @@ def canonical_sort(rows: Iterable[Sequence]) -> list[tuple]:
 
 
 class AnswerIndex:
-    """Q(D)'s answers (head tuples) on the driver, looked up by the values
-    at a set of head positions, as σ_t selects them."""
+    """Rows that start with a head tuple, on the driver, looked up by the
+    values at a set of head positions, as σ_t selects them: Q(D)'s answers
+    (:meth:`Catalog.answers`), or a rule's heads each followed by its
+    number of derivations (:meth:`Catalog.derivation_counts`)."""
 
     def __init__(self, rows: Iterable[Sequence]):
         self._rows = [tuple(r) for r in rows]
         self._groups: dict[tuple[int, ...], dict[tuple, list[tuple]]] = {}
 
     def matching(self, bound: dict[int, object]) -> list[tuple]:
-        """The answers whose value at each position ``p`` of ``bound`` is
-        ``bound[p]``. The answers are grouped once per set of positions."""
+        """The rows whose value at each position ``p`` of ``bound`` is
+        ``bound[p]``. The rows are grouped once per set of positions."""
         positions = tuple(sorted(bound))
         groups = self._groups.get(positions)
         if groups is None:
@@ -86,6 +89,7 @@ class Catalog:
         self._domain_overrides: dict[Occurrence, DataFrame] = {}
         self._domain_values: dict[Hashable, Values] = {}
         self._answers: dict[Program, AnswerIndex] = {}
+        self._counts: dict[Rule, AnswerIndex] = {}
         self._relations: dict[tuple[str, Hashable], tuple[DataFrame, View]] = {}
         self._view_prefix = f"repro_catalog{next(_CATALOG_NO)}_"
 
@@ -180,6 +184,18 @@ class Catalog:
         :meth:`result_view`."""
         self.result_view(program)
         return self._answers[program]
+
+    def derivation_counts(self, rule: Rule) -> AnswerIndex | None:
+        """The count index of ``rule``'s successful derivations: a row
+        ``(h0 … h{n-1}, count)`` per head they derive, or None until
+        :meth:`set_derivation_counts` stored it."""
+        return self._counts.get(rule)
+
+    def set_derivation_counts(self, rule: Rule, rows: Iterable[Sequence]) -> None:
+        """Store ``rule``'s count index, collected by a question's
+        statement from :meth:`derivations_view` (the rows depend on the
+        database and the rule alone)."""
+        self._counts[rule] = AnswerIndex(rows)
 
     def _relation(
         self, kind: str, key: Hashable, plan: Callable[[], DataFrame]

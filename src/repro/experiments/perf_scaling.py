@@ -17,7 +17,7 @@ from repro.core.unify import WHY, WHYNOT, PQuestion
 from repro.engine.catalog import Catalog
 from repro.experiments.common import whynot_space
 from repro.experiments.queries import QUERIES
-from repro.provenance.why import sample_why
+from repro.provenance.why import why_size
 from repro.summarize.pipeline import summarize
 
 
@@ -62,11 +62,8 @@ def run_perf_scaling(
                     if ns is None:
                         if qtype == WHY:
                             # FULL why: quadratic LCA input — apply the same
-                            # budget the paper's 30-minute timeout imposes;
-                            # the cut counts |Why| before it keeps one row
-                            n_prov = sum(
-                                n for _, _, n in sample_why(catalog, program, t, 1, seed)
-                            )
+                            # budget the paper's 30-minute timeout imposes
+                            n_prov = why_size(catalog, program, t)
                             row["prov_size"] = n_prov
                             if n_prov > max(1, int(full_budget ** 0.5) * 8):
                                 raise ValueError("FULL why over budget")

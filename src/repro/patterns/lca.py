@@ -12,14 +12,16 @@ DBMS. Ours is collected to the driver and integer-coded (-1 for None,
 which like the paper's NULL never equals anything and so acts as a
 placeholder), so Q_lca runs here in numpy: per goal group and per chunk
 of rows, each pair's LCA is packed into int64 words (column c stores
-code + 1 in its own bit field, 0 being the placeholder) and the words are
-deduplicated with ``np.unique``.
+code + 1 in its own bit field, 0 being the placeholder). Each chunk's
+words are deduplicated through a hash table (``pandas.unique``), which
+costs no sort; the union of the chunks is then sorted once.
 """
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
 import numpy as np
+import pandas as pd
 
 #: Row pairs generalized per chunk; bounds the chunk's working arrays.
 CHUNK_PAIRS = 1 << 17
@@ -48,6 +50,13 @@ def _pack(a: np.ndarray, b: np.ndarray, layout) -> np.ndarray:
             x, y = a[:, c][:, None], b[:, c][None, :]
             keys[:, :, w] |= np.where(x == y, x + 1, 0) << shift
     return keys.reshape(-1, len(layout))
+
+
+def _distinct_rows(keys: np.ndarray) -> np.ndarray:
+    """Distinct rows of a 2-D int64 array, in no set order."""
+    if keys.shape[1] == 1:
+        return pd.unique(keys[:, 0])[:, None]
+    return keys[~pd.DataFrame(keys).duplicated().to_numpy()]
 
 
 def _unique_rows(keys: np.ndarray) -> np.ndarray:
@@ -87,7 +96,7 @@ def lca_codes(
         parts = []
         for lo in range(0, g, step):
             # rows lo..lo+step-1 paired with rows lo..g-1 cover every i ≤ j
-            parts.append(_unique_rows(_pack(group[lo:lo + step], group[lo:], layout)))
+            parts.append(_distinct_rows(_pack(group[lo:lo + step], group[lo:], layout)))
         keys = _unique_rows(np.concatenate(parts))
         out_codes.append(_unpack(keys, layout, n_cols))
         out_goals.append(np.full(len(keys), gid, dtype=np.int64))

@@ -9,16 +9,20 @@ Only σ_t depends on the question: the successful derivations of the
 base rule depend on (D, Q) alone. The catalog keeps them persisted
 (``Catalog.derivations_view``), and each question filters them by the
 constants it binds and by the unified rule's comparisons, in Spark SQL.
+|Why| depends on the question only through σ_t too: the catalog keeps
+each base rule's derivations counted per head (``Catalog.derivation_counts``),
+and a question sums the counts of the heads σ_t selects, on the driver.
 """
 from __future__ import annotations
 
 import struct
 
-from repro.core.ast import Program
+from repro.core.ast import Program, Rule
+from repro.core.sqlgen import head_columns
 from repro.core.unify import PTuple, UnifiedRule, unify_program
 from repro.engine.catalog import Catalog
 from repro.engine.statement import Statement, quote, where
-from repro.provenance.annotate import goal_column_names
+from repro.provenance.annotate import goal_column_names, head_constants
 
 
 def why_select(stmt: Statement, catalog: Catalog, unified: UnifiedRule) -> str:
@@ -40,6 +44,61 @@ def why_select(stmt: Statement, catalog: Catalog, unified: UnifiedRule) -> str:
     cols += [f"true AS {g}" for g in goal_column_names(unified.n_goals)]
     view = catalog.derivations_view(unified.base)
     return f"SELECT {', '.join(cols)} FROM {view.name}{where(conds)}"
+
+
+def _count_select(stmt: Statement, catalog: Catalog, rule: Rule) -> str:
+    """A SELECT of ``rule``'s count index: per head that its successful
+    derivations derive, the head ``h0 … h{n-1}`` and its number of
+    derivations, read from the catalog's persisted derivations."""
+    heads = [
+        f"{stmt.term(a)} AS {h}"
+        for a, h in zip(rule.head.args, head_columns(rule.head.arity))
+    ]
+    keys = [quote(v.name) for v in dict.fromkeys(rule.head.vars())]
+    group = f" GROUP BY {', '.join(keys)}" if keys else ""
+    view = catalog.derivations_view(rule)
+    return f"SELECT {', '.join(heads + ['COUNT(*)'])} FROM {view.name}{group}"
+
+
+def why_count(catalog: Catalog, unified: UnifiedRule) -> int:
+    """|Why| of one unified rule: the count, in the catalog's count index
+    of its base rule, of the heads that hold the question's constants and
+    hold equal values at ``unified.equal_positions``. Those equalities
+    are SQL ``=`` comparisons in :func:`why_select`, and SQL ``=`` holds
+    for no NULL, so a head with NULL at such a position counts nothing."""
+    index = catalog.derivation_counts(unified.base)
+    return sum(
+        r[-1]
+        for r in index.matching(head_constants(unified))
+        if all(r[i] is not None and r[i] == r[j] for i, j in unified.equal_positions)
+    )
+
+
+def _collect_with_counts(
+    stmt: Statement, catalog: Catalog, rules: list[UnifiedRule]
+) -> list[list[tuple]]:
+    """``stmt.collect()``, with the count index of every base rule of
+    ``rules`` that the catalog lacks added to the same action and stored
+    in the catalog; returns the rows of the SELECTs added before."""
+    missing = [
+        b for b in dict.fromkeys(u.base for u in rules)
+        if catalog.derivation_counts(b) is None
+    ]
+    n = len(stmt.selects)
+    for b in missing:
+        stmt.add(_count_select(stmt, catalog, b), b.head.arity + 1)
+    out = stmt.collect()
+    for b, rows in zip(missing, out[n:]):
+        catalog.set_derivation_counts(b, rows)
+    return out[:n]
+
+
+def why_size(catalog: Catalog, program: Program, t: PTuple) -> int:
+    """|Why(Q, D, t)| summed over the rules, from the catalog's count
+    indexes; one Spark action fills those it lacks."""
+    rules = unify_program(program, t)
+    _collect_with_counts(Statement(catalog.spark), catalog, rules)
+    return sum(why_count(catalog, u) for u in rules)
 
 
 def _seed_bytes(seed: int) -> bytearray:
@@ -68,9 +127,11 @@ def sample_why(
     grows with the database: rows are ordered by a seeded hash of the
     row, then the row, an order that, unlike ``rand(seed)``, does not
     depend on how Spark partitions the data. The seed enters the hash as
-    :func:`_seed_bytes`, so a new seed compiles no new code.
-    ``COUNT(*) OVER ()`` counts the rows before the cut, so the same
-    action yields |Why|.
+    :func:`_seed_bytes`, so a new seed compiles no new code. Spark plans
+    the ``ORDER BY … LIMIT`` as a top-n (``TakeOrderedAndProject``) with
+    no exchange, so a warm question is one Spark job. |Why| comes from
+    the catalog's count index (:func:`why_count`), which the statement
+    that first reads a base rule fills.
     """
     rules = unify_program(program, t)
     stmt = Statement(catalog.spark)
@@ -79,12 +140,13 @@ def sample_why(
         names = [v.name for v in u.unbound] + goal_column_names(u.n_goals)
         cols = ", ".join(map(quote, names))
         stmt.add(
-            f"SELECT *, COUNT(*) OVER () AS __n FROM ({why_select(stmt, catalog, u)}) "
+            f"SELECT * FROM ({why_select(stmt, catalog, u)}) "
             f"ORDER BY xxhash64({seed_param}, {cols}), {cols} LIMIT {int(n_s)}",
-            len(names) + 1,
+            len(names),
         )
+    cuts = _collect_with_counts(stmt, catalog, rules)
     return [
-        (u, [r[:-1] for r in rows], rows[0][-1])
-        for u, rows in zip(rules, stmt.collect())
+        (u, rows, why_count(catalog, u))
+        for u, rows in zip(rules, cuts)
         if rows
     ]

@@ -14,6 +14,7 @@ from repro.datasets.tpch import R10_BINDABLE, r10_program, sample_constants, tpc
 from repro.datasets.witness import crimedesc_program, witness_db
 from repro.engine.catalog import Catalog
 from repro.engine.eval import evaluate
+from repro.experiments.queries import QUERIES
 
 
 def _answers(spark, db, prog):
@@ -124,6 +125,21 @@ class TestDblp:
         for hops in (2, 3):
             res = _answers(spark, db, hops_rule(hops))
             assert res.filter("h0 = 'xueni pan'").count() == 0
+
+    def test_builds_without_arrow(self, spark):
+        # without Arrow, createDataFrame infers each column's type from
+        # its Python values, and it cannot infer one for numpy.str_
+        key = "spark.sql.execution.arrow.pyspark.enabled"
+        before = spark.conf.get(key)
+        spark.conf.set(key, "false")
+        try:
+            db = QUERIES["r9"].build_db(spark, 100, 0)
+        finally:
+            spark.conf.set(key, before)
+        assert [f.dataType.simpleString() for f in db["DBLP"].schema] == [
+            "string", "string"
+        ]
+        assert _answers(spark, db, QUERIES["r9"].program()).count() > 0
 
     def test_hops_rule_shape(self):
         prog = hops_rule(4)

@@ -84,9 +84,11 @@ class TestPerfScaling:
         assert rows[0]["completeness"] > 0
 
     def test_why_prov_size_is_exact(self, spark):
-        # |Why| of the bound question, not the n_S = 3 rows it keeps
+        # |Why| of the bound question, not the n_S = 3 rows it keeps, and
+        # the FULL row's count index
         rows = run_perf_scaling(
-            spark, "r1", WHY, sizes=[300], sample_sizes=[3, 1000], k=2
+            spark, "r1", WHY, sizes=[300], sample_sizes=[3, 1000], k=2,
+            include_full=True,
         )
         spec = QUERIES["r1"]
         catalog = Catalog(spark, spec.build_db(spark, 300, 0))
@@ -95,7 +97,8 @@ class TestPerfScaling:
         (u,) = unify_program(program, t)
         n_why = successful_derivations(catalog, u.rule).count()
         assert n_why > 3
-        assert [r["prov_size"] for r in rows] == [n_why, n_why]
+        assert [r["prov_size"] for r in rows] == [n_why] * 3
+        assert rows[2]["sample"] == "FULL" and rows[2]["t_total"] is not None
 
     def test_full_timeout_row(self, spark):
         rows = run_perf_scaling(

@@ -13,7 +13,7 @@ from repro.core.unify import (
     unify_rule,
 )
 from repro.datasets.airbnb import airbnb_program, s_airbnb
-from repro.datasets.graph_r import graph_r, rex_catalog, rex_program
+from repro.datasets.graph_r import R_EX, graph_r, rex_catalog, rex_program
 from repro.datasets.license import license_db, r1_program, r2_program
 from repro.datasets.movies import movies, r4_program
 from repro.engine.catalog import Catalog
@@ -22,7 +22,7 @@ from repro.engine.statement import Statement
 from repro.provenance.annotate import annotate_select
 from repro.engine.statement import quote
 from repro.provenance.annotate import goal_column_names
-from repro.provenance.why import sample_why, why_select
+from repro.provenance.why import sample_why, why_count, why_select, why_size
 from repro.summarize.pipeline import summarize_why
 from repro.provenance.whynot_full import (
     all_valuations,
@@ -160,6 +160,86 @@ class TestWhyFromCatalog:
         )
         assert rows and actions == ["collect"]
         assert spark.sparkContext._jsc.getPersistentRDDs().size() == persisted
+
+
+class TestWhyCountIndex:
+    """|Why| from the catalog's count index (``why_size``, ``why_count``)
+    equals ``COUNT(*)`` of ``why_select``, rule by rule."""
+
+    @staticmethod
+    def _check(catalog, program, ptuple):
+        t = parse_ptuple(ptuple)
+        rules = unify_program(program, t)
+        assert rules
+        total = why_size(catalog, program, t)
+        counts = []
+        for u in rules:
+            stmt = Statement(catalog.spark)
+            sql = f"SELECT COUNT(*) FROM ({why_select(stmt, catalog, u)})"
+            want = stmt.dataframe(sql).collect()[0][0]
+            assert why_count(catalog, u) == want
+            counts.append(want)
+        assert total == sum(counts)
+        return counts
+
+    @pytest.fixture(scope="class")
+    def license_cat(self, spark):
+        return Catalog(spark, license_db(spark, n=300, seed=0))
+
+    @pytest.fixture(scope="class")
+    def movies_cat(self, spark):
+        return Catalog(spark, movies(spark, n_movies=500, seed=0))
+
+    @pytest.mark.parametrize("ptuple", ["InvalidD(C)", "InvalidD('city_1')"])
+    def test_r1(self, license_cat, ptuple):
+        assert all(self._check(license_cat, r1_program(), ptuple))
+
+    @pytest.mark.parametrize("ptuple", ["Players(A)", "Players('jack black')"])
+    def test_r4_union(self, movies_cat, ptuple):
+        assert any(self._check(movies_cat, r4_program(), ptuple))
+
+    @pytest.fixture(scope="class")
+    def null_graph(self, spark):
+        # graph R of Fig. 3 with NULL endpoints: a 2-path through NULL is
+        # no join match, and 2-paths from or to NULL give NULL head values
+        edges = pd.DataFrame(
+            {"a": [1, 2, 2, 5, 5, 5, 3, None, 2, None],
+             "b": [2, 3, 4, 3, 5, 6, None, 3, None, 2]}
+        )
+        return Catalog(spark, {"R": spark.createDataFrame(edges.astype("Int64"))})
+
+    @pytest.mark.parametrize("rule,ptuple,expected", [
+        # X < Y holds for no NULL, and with X = Y for no row
+        (R_EX, "Qex(X, X)", [0]),
+        (R_EX, "Qex(X, Y)", [3]),
+        # heads (NULL, NULL) and (5, 5): NULL = NULL is not true in SQL
+        ("P(X, Y) :- R(X, Z), R(Z, Y).", "P(X, X)", [1]),
+        ("P(X, Y) :- R(X, Z), R(Z, Y).", "P(X, Y)", [12]),
+        # one head variable twice: no comparison, so a NULL head counts
+        ("P(X, X) :- R(X, Z), R(Z, Y).", "P(Y, Y)", [12]),
+        # a head constant: 1 → 2 → 3, NULL → 2 → 3 and 5 → 5 → 3
+        ("P(X, 3) :- R(X, Z), R(Z, 3).", "P(X, Y)", [3]),
+        ("P(X, 3) :- R(X, Z), R(Z, 3).", "P(5, Y)", [1]),
+        ("P(X, 3) :- R(X, Z), R(Z, 3).", "P(Y, Y)", [0]),
+        ("P(X, 5) :- R(X, Z), R(Z, 5).", "P(Y, Y)", [1]),
+    ])
+    def test_nulls_repeated_placeholders_and_head_constants(
+        self, null_graph, rule, ptuple, expected
+    ):
+        assert self._check(null_graph, parse_program(rule), ptuple) == expected
+
+    def test_one_action_fills_the_index(self, spark, monkeypatch):
+        catalog = Catalog(spark, license_db(spark, n=300, seed=0))
+        prog, t = r1_program(), parse_ptuple("InvalidD(C)")
+        catalog.answers(prog)
+        n, actions = _actions_of(
+            monkeypatch, spark, lambda: why_size(catalog, prog, t)
+        )
+        assert n > 0 and actions == ["collect"]
+        again, actions = _actions_of(
+            monkeypatch, spark, lambda: why_size(catalog, prog, t)
+        )
+        assert again == n and actions == []
 
 
 class TestWhySeed:

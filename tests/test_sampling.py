@@ -22,6 +22,7 @@ from repro.datasets.graph_r import graph_r, rex_catalog, rex_program
 from repro.datasets.license import license_db, r1_program, r2_program
 from repro.engine.catalog import Catalog, canonical_sort
 from repro.engine.eval import successful_derivations
+from repro.engine.statement import Statement
 from repro.provenance.whynot_full import (
     fill_variable_domains,
     variable_domain,
@@ -347,6 +348,22 @@ def _actions_of(monkeypatch, spark, fn):
     return out, calls
 
 
+def _plan_nodes(df) -> list[str]:
+    """The node names of ``df``'s executed physical plan, adaptive query
+    stages included; not those of the cached plans its scans read."""
+    out, todo = [], [df._jdf.queryExecution().executedPlan()]
+    while todo:
+        plan = todo.pop()
+        out.append(plan.nodeName())
+        if out[-1] == "AdaptiveSparkPlan":
+            todo.append(plan.executedPlan())
+        elif out[-1].endswith("QueryStage"):
+            todo.append(plan.plan())
+        children = plan.children()
+        todo.extend(children.apply(i) for i in range(children.size()))
+    return out
+
+
 def _summary_key(s):
     """Everything a summary answers: patterns, score, per-rule stats and
     the stored sample rows."""
@@ -508,6 +525,35 @@ class TestOneAction:
         )
         assert s.patterns
         assert actions == ["collect"]
+
+    def test_warm_r1_why_is_one_job(self, spark, monkeypatch):
+        # the cut is a top-n and |Why| comes from the catalog's count
+        # index: no window, so nothing moves rows to one partition
+        catalog = Catalog(spark, license_db(spark, n=300, seed=0))
+        q = PQuestion(parse_ptuple("InvalidD(C)"), WHY)
+
+        def ask(seed):
+            return summarize(catalog, r1_program(), q, k=3, n_s=40, seed=seed)
+
+        ask(3)
+        frames = []
+        orig = Statement.dataframe
+
+        def spy(self, select):
+            frames.append(orig(self, select))
+            return frames[-1]
+
+        monkeypatch.setattr(Statement, "dataframe", spy)
+        s, jobs = _jobs_of(spark, lambda: ask(4))
+        assert s.patterns and s.per_rule[0]["n_survivors"] > 40
+        assert jobs == 1
+        (df,) = frames
+        nodes = _plan_nodes(df)
+        assert "TakeOrderedAndProject" in nodes
+        assert not [
+            n for n in nodes
+            if n in ("ShuffleQueryStage", "Window") or "Exchange" in n
+        ]
 
     def test_why_with_ground_goals(self, spark, monkeypatch):
         # S(2) exists and S(5) does not: both ground goals hold
