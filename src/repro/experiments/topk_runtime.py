@@ -49,7 +49,7 @@ def run_topk_runtime(
                 "n_searched": min(MAX_PATTERNS, inputs.n_candidates),
                 "k": k,
                 "t_topk": elapsed,
-                "score": inputs.store.score_of_set(result.patterns),
+                "score": inputs.store.score_of_set(inputs.decode(result.chosen)),
                 "proved_optimal": result.proved_optimal,
                 "pops": result.pops,
             }

@@ -1,10 +1,6 @@
 """Derivation patterns: candidates (LCA), matching, driver-side objects."""
 from repro.patterns.lca import lca_codes, lca_reference  # noqa: F401
-from repro.patterns.matching import (  # noqa: F401
-    collect_patterns,
-    count_matches,
-    match_reference,
-)
+from repro.patterns.matching import count_matches, match_reference  # noqa: F401
 from repro.patterns.pattern import (  # noqa: F401
     Pattern,
     disjoint,

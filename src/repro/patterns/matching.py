@@ -16,7 +16,7 @@ so only the counts are kept, never a patterns × rows matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -126,45 +126,16 @@ def match_reference(
     return out
 
 
-def collect_patterns(
-    rows: "_RuleRows",
-    rule_id: str,
-    var_cols: Sequence[str],
-    pat_codes: np.ndarray,
-    pat_goals: np.ndarray,
-    counts: np.ndarray,
-) -> list[Pattern]:
-    """Decode coded patterns and their match counts over ``rows`` (one
-    rule's coded sample) into driver-side :class:`Pattern` objects.
-
-    ``cp`` = weight · match_count / |sample|, where the weight is the
-    rule's estimated share of |PROV(Φ)| (1.0 for single-rule queries).
-    """
-    n = len(rows)
-    var_names = tuple(var_cols)
-    return [
-        Pattern(
-            rule_id=rule_id,
-            var_names=var_names,
-            args=rows.decode(pc),
-            goals=rows.goal_vectors[g],
-            cp=rows.weight * count / n if n else 0.0,
-            count=count,
-        )
-        for pc, g, count in zip(
-            pat_codes.tolist(), pat_goals.tolist(), counts.tolist()
-        )
-    ]
-
-
 @dataclass
 class Candidates:
     """One rule's LCA candidates, integer-coded as in ``rows``, with
-    their match counts; decoded into :class:`Pattern` objects on demand."""
+    their match counts over ``bits``, the rows' bitsets they were counted
+    on; decoded into :class:`Pattern` objects on demand."""
 
     rule_id: str
     var_names: tuple[str, ...]
     rows: "_RuleRows"
+    bits: RowBits
     codes: np.ndarray  # (m, v) int64, -1 = placeholder
     goals: np.ndarray  # (m,) goal ids
     counts: np.ndarray  # (m,) int64
@@ -173,7 +144,8 @@ class Candidates:
         return len(self.counts)
 
     def cp(self) -> np.ndarray:
-        """Each candidate's ``Pattern.cp``, computed the same way."""
+        """Each candidate's ``Pattern.cp``: weight · match count / |sample|,
+        the weight being the rule's estimated share of |PROV(Φ)|."""
         return self.rows.weight * self.counts / len(self.rows)
 
     def info(self) -> np.ndarray:
@@ -183,9 +155,25 @@ class Candidates:
             return np.ones(len(self))
         return (self.codes >= 0).sum(axis=1) / n_cols
 
+    def match(self, idx: np.ndarray) -> np.ndarray:
+        """Match sets of the candidates at ``idx``, as :meth:`RowBits.match`
+        returns them."""
+        return self.bits.match(self.codes[idx], self.goals[idx])
+
     def patterns(self, idx: np.ndarray | slice = slice(None)) -> list[Pattern]:
         """The candidates at ``idx``, decoded, in that order."""
-        return collect_patterns(
-            self.rows, self.rule_id, self.var_names,
-            self.codes[idx], self.goals[idx], self.counts[idx],
-        )
+        cps = self.cp()[idx].tolist()
+        return [
+            Pattern(
+                rule_id=self.rule_id,
+                var_names=self.var_names,
+                args=self.rows.decode(pc),
+                goals=self.rows.goal_vectors[g],
+                cp=cp,
+                count=count,
+            )
+            for pc, g, cp, count in zip(
+                self.codes[idx].tolist(), self.goals[idx].tolist(), cps,
+                self.counts[idx].tolist(),
+            )
+        ]

@@ -2,10 +2,10 @@
 from repro.summarize.metrics import SampleStore, harmonic, info_of_set  # noqa: F401
 from repro.summarize.bounds import cp_lower, cp_upper, s_lb, s_ub  # noqa: F401
 from repro.summarize.topk import (  # noqa: F401
+    MatchSets,
     SearchResult,
     topk_bestfirst,
     topk_exact,
-    topk_greedy,
 )
 from repro.summarize.pipeline import (  # noqa: F401
     PatternInputs,

@@ -76,10 +76,18 @@ class _RuleRows:
         return len(self.goal_ids)
 
     def bits(self) -> RowBits:
-        """The rows as packed bitsets. Built per call (about 0.3 ms at
-        S1K, 5 ms at S10K), not kept: a :class:`Summary` keeps its store,
-        and the sets take up to n²/8 bytes (a column of n distinct values)."""
+        """The rows as packed bitsets (about 0.3 ms at S1K, 5 ms at S10K).
+        A question builds them once, in phase 3, and its ``Candidates``
+        keep them for the top-k search. The store does not: a
+        :class:`Summary` keeps its store, and the sets take up to n²/8
+        bytes (a column of n distinct values)."""
         return RowBits(self.codes, self.goal_ids)
+
+    def cp(self, words: np.ndarray) -> float:
+        """This rule's share of cp(S): weight · |rows in any of the match
+        sets ``words`` (as :meth:`RowBits.match` returns them)| / n."""
+        union = np.bitwise_or.reduce(words, axis=0)
+        return self.weight * float(popcount(union[None, :])[0]) / len(self)
 
     def encode_pattern(self, p: Pattern) -> tuple[list[int], int] | None:
         """``p``'s codes (-1 for a placeholder) and goal id, or None when
@@ -157,24 +165,6 @@ class SampleStore:
         nothing."""
         return unpack(self._match(p.rule_id, [p]), self.n_rows(p.rule_id))[0]
 
-    def mask_matrix(self, patterns: Sequence[Pattern]) -> tuple[np.ndarray, np.ndarray]:
-        """(masks, w): ``masks[i]`` marks the sample rows, over all rules
-        laid end to end, that ``patterns[i]`` matches; row r of rule R has
-        weight ``w[r] = weight_R / n_R``, so cp(S) = w · OR(masks of S)."""
-        masks = np.zeros((len(patterns), sum(map(len, self.rules.values()))), dtype=bool)
-        start = 0
-        for rule_id, rows in self.rules.items():
-            idx = [i for i, p in enumerate(patterns) if p.rule_id == rule_id]
-            if idx:
-                words = self._match(rule_id, [patterns[i] for i in idx])
-                masks[idx, start:start + len(rows)] = unpack(words, len(rows))
-            start += len(rows)
-        w = np.concatenate(
-            [np.full(len(r), r.weight / len(r)) for r in self.rules.values() if len(r)]
-            or [np.zeros(0)]
-        )
-        return masks, w
-
     def cp_of_pattern(self, p: Pattern) -> float:
         return self.cp_of_set([p])
 
@@ -186,12 +176,8 @@ class SampleStore:
             by_rule.setdefault(p.rule_id, []).append(p)
         total = 0.0
         for rule_id, ps in by_rule.items():
-            rows = self.rules[rule_id]
-            n = len(rows)
-            if n == 0:
-                continue
-            union = np.bitwise_or.reduce(self._match(rule_id, ps), axis=0)
-            total += rows.weight * float(popcount(union[None, :])[0]) / n
+            if self.n_rows(rule_id):
+                total += self.rules[rule_id].cp(self._match(rule_id, ps))
         return total
 
     def score_of_set(self, patterns: Iterable[Pattern]) -> float:

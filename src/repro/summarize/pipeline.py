@@ -20,7 +20,8 @@ job. The per-phase timings mirror the per-phase bars of Figs. 6–7.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -28,13 +29,13 @@ from repro.core.ast import Program
 from repro.core.unify import WHY, WHYNOT, PQuestion, UnifiedRule
 from repro.engine.catalog import Catalog
 from repro.patterns.lca import lca_codes
-from repro.patterns.matching import Candidates, count_matches
+from repro.patterns.matching import Candidates, count_matches, unpack
 from repro.patterns.pattern import Pattern
 from repro.provenance.why import sample_why
 from repro.provenance.whynot_full import whynot_full
 from repro.sampling.whynot import sample_whynot
 from repro.summarize.metrics import SampleStore, harmonic, info_of_set
-from repro.summarize.topk import SearchResult, rank_order, topk_bestfirst
+from repro.summarize.topk import MatchSets, SearchResult, rank_order, topk_bestfirst
 
 #: Candidates kept for the top-k search, strongest first (DESIGN.md).
 MAX_PATTERNS = 64
@@ -136,8 +137,9 @@ def _capture(
 @dataclass
 class PatternInputs:
     """Output of phases 1–3: each rule's scored candidate patterns,
-    integer-coded, and the driver-side sample store, ready for top-k
-    construction (the input of Fig. 8)."""
+    integer-coded, with the row bitsets they were counted on, and the
+    driver-side sample store, ready for top-k construction (the input of
+    Fig. 8). Candidate indices count the rules' candidates end to end."""
 
     candidates: list[Candidates]
     store: SampleStore
@@ -153,33 +155,48 @@ class PatternInputs:
         """Every candidate, decoded: rule by rule, each in LCA order."""
         return [p for c in self.candidates for p in c.patterns()]
 
-    def strongest(self, m: int) -> list[Pattern]:
-        """The ``m`` first candidates in ``rank_key`` order, decoded, in
-        that order: ``heapq.nsmallest(m, self.patterns, key=rank_key)``,
-        ranked over the coded candidates so that only the ``m`` kept
-        ones become :class:`Pattern` objects."""
-        cands = self.candidates
-        if not cands:
-            return []
-        sizes = [len(c) for c in cands]
-        which = np.repeat(np.arange(len(cands)), sizes)  # candidate → rule
-        starts = np.cumsum([0] + sizes)
-        codes = np.zeros((len(which), max(c.codes.shape[1] for c in cands)), np.int64)
-        for c, lo in zip(cands, starts):
-            codes[lo:lo + len(c), :c.codes.shape[1]] = c.codes
-        rule_rank = np.argsort(np.argsort([c.rule_id for c in cands]))
-        order = rank_order(
-            np.concatenate([c.cp() for c in cands]),
-            np.concatenate([c.info() for c in cands]),
-            rule_rank[which],
-            np.concatenate([c.goals for c in cands]),
-            codes,
-        )[:m]
-        decoded: dict[int, Pattern] = {}
-        for i, c in enumerate(cands):
-            kept = order[which[order] == i]
-            decoded.update(zip(kept.tolist(), c.patterns(kept - starts[i])))
-        return [decoded[j] for j in order.tolist()]
+    def _locate(self, idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Each candidate index's rule (position in ``candidates``) and
+        index within that rule."""
+        starts = np.cumsum([0] + [len(c) for c in self.candidates])
+        rule = np.searchsorted(starts[1:], idx, side="right")
+        return rule, np.asarray(idx, dtype=np.int64) - starts[rule]
+
+    def decode(self, idx: Sequence[int]) -> list[Pattern]:
+        """The candidates at ``idx``, decoded, in that order."""
+        return [
+            self.candidates[r].patterns([i])[0] for r, i in zip(*self._locate(idx))
+        ]
+
+    def match_sets(self, idx: Sequence[int]) -> MatchSets:
+        """The search's input for the candidates at ``idx``: their match
+        masks from phase 3's row bitsets, the row weights and their
+        informativeness."""
+        rule, local = self._locate(idx)
+        n_rows = [len(c.rows) for c in self.candidates]
+        offsets = np.cumsum([0] + n_rows)
+        masks = np.zeros((len(idx), offsets[-1]), dtype=bool)
+        info = np.zeros(len(idx))
+        for r in np.unique(rule).tolist():
+            c, at = self.candidates[r], rule == r
+            masks[at, offsets[r]:offsets[r + 1]] = unpack(c.match(local[at]), n_rows[r])
+            info[at] = c.info()[local[at]]
+        w = np.repeat(
+            [c.rows.weight / n if n else 0.0 for c, n in zip(self.candidates, n_rows)],
+            n_rows,
+        )
+        return MatchSets(masks, w, info)
+
+    def completeness(self, idx: Sequence[int]) -> float:
+        """cp(S) over the sample of the candidates at ``idx``, from their
+        match sets, summed as ``SampleStore.cp_of_set`` sums it for their
+        patterns: rule by rule, in order of first appearance."""
+        rule, local = self._locate(idx)
+        total = 0.0
+        for r in dict.fromkeys(rule.tolist()):
+            c = self.candidates[r]
+            total += c.rows.cp(c.match(local[rule == r]))
+        return total
 
 
 def pattern_inputs(
@@ -194,6 +211,8 @@ def pattern_inputs(
 ) -> PatternInputs:
     """Run capture/sampling, LCA candidate generation, and metric
     estimation (phases 1–3 of Sec. 4)."""
+    if n_s < 1:
+        raise ValueError(f"n_s must be at least 1, got {n_s}")
     timings: dict[str, float] = {}
 
     # --- phase 1: capture / sampling, collected once and integer-coded ---
@@ -221,11 +240,12 @@ def pattern_inputs(
     scored: list[Candidates] = []
     for u, _, _, _ in captured:
         rows = store.rules[u.rule_id]
+        bits = rows.bits()
         pat_codes, pat_goals = candidates[u.rule_id]
         scored.append(
             Candidates(
-                u.rule_id, tuple(v.name for v in u.unbound), rows, pat_codes,
-                pat_goals, count_matches(pat_codes, pat_goals, rows.bits()),
+                u.rule_id, tuple(v.name for v in u.unbound), rows, bits,
+                pat_codes, pat_goals, count_matches(pat_codes, pat_goals, bits),
             )
         )
     timings["metrics"] = time.perf_counter() - t0
@@ -248,10 +268,11 @@ def pattern_inputs(
 def select_topk(inputs: PatternInputs, k: int) -> SearchResult:
     """Phase 4: prune to the ``MAX_PATTERNS`` strongest candidates by
     singleton score, then cp, then canonical order (heuristic cap, see
-    DESIGN.md), and run the best-first search."""
-    return topk_bestfirst(
-        inputs.strongest(MAX_PATTERNS), k, inputs.store, max_pops=MAX_POPS
-    )
+    DESIGN.md), and run the best-first search over them. The result's
+    ``chosen`` index ``inputs``' candidates, strongest first."""
+    kept = rank_order(inputs.candidates)[:MAX_PATTERNS]
+    result = topk_bestfirst(inputs.match_sets(kept), k, max_pops=MAX_POPS)
+    return replace(result, chosen=tuple(kept[list(result.chosen)].tolist()))
 
 
 def summarize(
@@ -266,6 +287,8 @@ def summarize(
     max_full_derivations: int | None = 5_000_000,
 ) -> Summary:
     """Compute the top-k provenance summary S(Q, D, Φ, k)."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     t_start = time.perf_counter()
     inputs = pattern_inputs(
         catalog, program, question, n_s=n_s, seed=seed, use_full=use_full,
@@ -283,17 +306,18 @@ def summarize(
 
     # --- phase 4: top-k construction ---
     t0 = time.perf_counter()
-    result: SearchResult = select_topk(inputs, k)
+    result = select_topk(inputs, k)
+    patterns = tuple(inputs.decode(result.chosen))
     timings["topk"] = time.perf_counter() - t0
 
-    completeness = store.cp_of_set(result.patterns)
-    informativeness = info_of_set(result.patterns)
+    completeness = inputs.completeness(result.chosen)
+    informativeness = info_of_set(patterns)
     timings["total"] = time.perf_counter() - t_start
     return Summary(
         question=question,
         k=k,
         n_s=n_s,
-        patterns=result.patterns,
+        patterns=patterns,
         n_candidates=inputs.n_candidates,
         completeness=completeness,
         informativeness=informativeness,

@@ -21,7 +21,11 @@ multi-start greedy. Once no queued bound can beat the incumbent it is
 optimal over the sample. If the pop budget runs out first, the best
 complete candidate found is returned with ``proved_optimal = False``.
 
-``topk_exact`` (brute force over the sample) is the test oracle.
+The search takes arrays (:class:`MatchSets`) built from the coded
+candidates and returns indices, so only the chosen candidates are ever
+decoded. ``rank_key``, the order ``rank_order`` computes over codes, and
+``topk_exact``, brute force over :class:`Pattern` objects, are the test
+oracles.
 """
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.patterns.matching import Candidates
 from repro.patterns.pattern import Pattern
 from repro.summarize.metrics import SampleStore, harmonic
 
@@ -41,9 +46,10 @@ EPS = 1e-12
 
 @dataclass
 class SearchResult:
-    """Outcome of a top-k search."""
+    """Outcome of a top-k search: the indices of the chosen candidates
+    among those searched, ascending."""
 
-    patterns: tuple[Pattern, ...]
+    chosen: tuple[int, ...]
     score: float
     proved_optimal: bool
     pops: int
@@ -56,25 +62,30 @@ def rank_key(p: Pattern) -> tuple:
     return (-harmonic(p.cp, p.info()), -p.cp, p.sort_key())
 
 
-def rank_order(
-    cp: np.ndarray,
-    info: np.ndarray,
-    rule: np.ndarray,
-    goal: np.ndarray,
-    codes: np.ndarray,
-) -> np.ndarray:
-    """Indices that sort candidates as :func:`rank_key` sorts their
-    patterns, given per candidate its cp and info, the rank of its rule
-    id among the rule ids, its goal id and its codes (-1 = placeholder).
+def rank_order(cands: Sequence[Candidates]) -> np.ndarray:
+    """Indices of coded candidates, the rules' laid end to end, in the
+    order :func:`rank_key` sorts their patterns.
 
     Goal ids and codes follow the sorted order of the goal vectors and
     values they stand for, so comparing them compares what
     ``Pattern.sort_key`` compares; a placeholder sorts after every code.
-    The score is computed as :func:`harmonic` computes it, so equal
-    scores stay equal and ties break the same way.
+    cp, info and the score are computed as ``Pattern.cp``,
+    ``Pattern.info`` and :func:`harmonic` compute them, so equal scores
+    stay equal and ties break the same way.
     """
-    args = np.where(codes < 0, np.iinfo(np.int64).max, codes)
-    keys = [args[:, c] for c in reversed(range(args.shape[1]))]
+    if not cands:
+        return np.zeros(0, dtype=np.int64)
+    width = max(c.codes.shape[1] for c in cands)
+    args = np.concatenate(
+        [np.pad(c.codes, ((0, 0), (0, width - c.codes.shape[1]))) for c in cands]
+    )
+    args = np.where(args < 0, np.iinfo(np.int64).max, args)
+    rule_rank = np.argsort(np.argsort([c.rule_id for c in cands]))
+    rule = np.repeat(rule_rank, [len(c) for c in cands])
+    goal = np.concatenate([c.goals for c in cands])
+    cp = np.concatenate([c.cp() for c in cands])
+    info = np.concatenate([c.info() for c in cands])
+    keys = [args[:, i] for i in reversed(range(width))]
     return np.lexsort(keys + [goal, rule, -cp, -_harmonic(cp, info)])
 
 
@@ -83,14 +94,20 @@ def _harmonic(cp: np.ndarray, info: np.ndarray) -> np.ndarray:
     return np.where(s > 0, 2.0 * cp * info / np.where(s > 0, s, 1.0), 0.0)
 
 
-class _Sets:
-    """Match masks of ranked patterns over the sample, for exact cp."""
+class MatchSets:
+    """The search's input: ``masks[i]`` marks the sample rows, every
+    rule's laid end to end, that candidate i matches; row r of rule R
+    has weight ``w[r] = weight_R / n_R``, so cp(S) = w · OR(masks of S);
+    ``info[i]`` is candidate i's informativeness."""
 
-    def __init__(self, pats: Sequence[Pattern], store: SampleStore) -> None:
-        masks, self.w = store.mask_matrix(pats)
+    def __init__(self, masks: np.ndarray, w: np.ndarray, info: np.ndarray) -> None:
         self.fmask = masks.astype(float)
-        self.wmask = self.fmask * self.w
-        self.info = np.array([p.info() for p in pats])
+        self.w = w
+        self.wmask = self.fmask * w
+        self.info = info
+
+    def __len__(self) -> int:
+        return len(self.info)
 
     def union(self, cand: Sequence[int]) -> np.ndarray:
         if not cand:
@@ -123,23 +140,18 @@ class _Sets:
 
 
 def topk_bestfirst(
-    patterns: Sequence[Pattern],
-    k: int,
-    store: SampleStore,
-    max_pops: int = 20_000,
+    sets: MatchSets, k: int, max_pops: int = 20_000
 ) -> SearchResult:
-    """Best-first search for the top-k summary, scored exactly over the
-    sample held by ``store``."""
-    pats = sorted(patterns, key=rank_key)
-    if not pats:
+    """Best-first search for the top-k summary over the candidates of
+    ``sets``, scored exactly over the sample. Ties go to the earlier
+    candidate, so pass them in :func:`rank_order`."""
+    n = len(sets)
+    if not n:
         raise ValueError("no patterns to summarize")
-    sets = _Sets(pats, store)
-    n = len(pats)
     if n <= k:
-        s = sets.score(range(n))
-        return SearchResult(tuple(pats), s, True, 0)
+        return SearchResult(tuple(range(n)), sets.score(range(n)), True, 0)
 
-    # top_info[i, m]: sum of the m largest informativeness values in pats[i:]
+    # top_info[i, m]: sum of the m largest informativeness values of candidates i:
     top_info = np.zeros((n + 1, k + 1))
     for i in range(n):
         best_infos = np.sort(sets.info[i:])[::-1][:k]
@@ -196,31 +208,19 @@ def topk_bestfirst(
     else:
         proved = not heap  # queue drained: the incumbent dominates everything
 
-    return SearchResult(tuple(pats[i] for i in best), best_sc, proved, pops)
-
-
-def topk_greedy(
-    patterns: Sequence[Pattern], k: int, store: SampleStore
-) -> SearchResult:
-    """Greedy top-k: repeatedly add the pattern that maximizes the exact
-    score of the set so far — the search's seed."""
-    pats = sorted(patterns, key=rank_key)
-    if not pats:
-        return SearchResult((), 0.0, False, 0)
-    chosen, sc = _Sets(pats, store).greedy(min(k, len(pats)), ())
-    return SearchResult(tuple(pats[i] for i in chosen), sc, False, 0)
+    return SearchResult(best, best_sc, proved, pops)
 
 
 def topk_exact(
     patterns: Sequence[Pattern], k: int, store: SampleStore
 ) -> SearchResult:
-    """Brute-force argmax of the exact-over-sample score (test oracle)."""
+    """Brute-force argmax of the exact-over-sample score, over
+    :class:`Pattern` objects and ``store`` (test oracle)."""
     pats = list(patterns)
-    kk = min(k, len(pats))
-    best: tuple[Pattern, ...] | None = None
+    best: tuple[int, ...] | None = None
     best_score = float("-inf")
-    for combo in combinations(pats, kk):
-        s = store.score_of_set(combo)
+    for combo in combinations(range(len(pats)), min(k, len(pats))):
+        s = store.score_of_set([pats[i] for i in combo])
         if s > best_score:
             best, best_score = combo, s
     assert best is not None

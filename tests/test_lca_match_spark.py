@@ -1,16 +1,17 @@
 """Q_lca and Q_match over the integer-coded sample (``lca_codes``,
-``count_matches``, ``SampleStore._mask``, ``SampleStore.mask_matrix``) vs
-the pure-Python references ``lca_reference`` and ``match_reference`` and
-the comparison-based mask."""
+``count_matches``, ``SampleStore._mask``, ``PatternInputs.match_sets``)
+vs the pure-Python references ``lca_reference`` and ``match_reference``
+and the comparison-based mask."""
 import random
 
 import numpy as np
 import pytest
 
 from repro.patterns.lca import _word_layout, lca_codes, lca_reference
-from repro.patterns.matching import collect_patterns, count_matches, match_reference
+from repro.patterns.matching import Candidates, count_matches, match_reference
 from repro.patterns.pattern import Pattern
 from repro.summarize.metrics import SampleStore
+from repro.summarize.pipeline import PatternInputs
 
 
 def _coded(rows, weight=1.0):
@@ -135,8 +136,9 @@ class TestMatchSpark:
     def test_collect_patterns(self):
         rows = sorted(set(ROWS_A), key=repr)
         coded, codes, goals = _lca(rows)
-        counts = count_matches(codes, goals, coded.bits())
-        ps = collect_patterns(coded, "rex", ["X", "Z"], codes, goals, counts)
+        bits = coded.bits()
+        counts = count_matches(codes, goals, bits)
+        ps = Candidates("rex", ("X", "Z"), coded, bits, codes, goals, counts).patterns()
         assert all(p.rule_id == "rex" for p in ps)
         assert all(0 < p.cp <= 1 for p in ps)
         # the (X, Z)-(F,F) all-placeholder pattern covers the 3 F,F rows
@@ -147,8 +149,9 @@ class TestMatchSpark:
         rows = sorted(set(ROWS_A), key=repr)
         coded = _coded(rows, weight=0.5)
         codes, goals = lca_codes(coded.codes, coded.goal_ids)
-        counts = count_matches(codes, goals, coded.bits())
-        ps = collect_patterns(coded, "rex", ["X", "Z"], codes, goals, counts)
+        bits = coded.bits()
+        counts = count_matches(codes, goals, bits)
+        ps = Candidates("rex", ("X", "Z"), coded, bits, codes, goals, counts).patterns()
         allp = [p for p in ps if p.args == (None, None) and p.goals == (False, False)]
         assert allp[0].cp == pytest.approx(0.5 * 3 / 5)
 
@@ -201,33 +204,51 @@ class TestMask:
             ]
             assert mask.tolist() == want
 
-    def test_mask_matrix_equals_comparison_masks(self):
+    def test_match_sets_equal_comparison_masks(self):
         """Two rules of different widths, row counts off the byte and word
-        boundaries, and patterns with constants or goal vectors the sample
+        boundaries, coded candidates of both rules searched in mixed
+        order, and patterns with constants or goal vectors the sample
         lacks."""
         store = SampleStore()
         store.add_rule("r", _random_rows(1, n=70), 0.25)
         store.add_rule("s", _random_rows(2, n=13, arity=2, dom=3), 0.75)
-        rng = random.Random(5)
-        pats = []
-        for _ in range(60):
-            rule, names = rng.choice([("r", ("A", "B", "C")), ("s", ("A", "B"))])
-            args = tuple(None if rng.random() < 0.4 else rng.randrange(5) for _ in names)
-            goals = (rng.random() < 0.7, rng.random() < 0.5)
-            pats.append(Pattern(rule, names, args, goals))
-        masks, w = store.mask_matrix(pats)
+        rng = np.random.default_rng(5)
+        cands = []
+        for rule_id, rows in store.rules.items():
+            highs = [len(v) for v in rows.values]
+            codes = np.stack([rng.integers(-1, h, 30) for h in highs], axis=1)
+            goals = rng.integers(0, len(rows.goal_vectors), 30)
+            names = tuple("ABC"[:len(highs)])
+            cands.append(Candidates(
+                rule_id, names, rows, rows.bits(), codes, goals,
+                np.zeros(30, dtype=np.int64),
+            ))
+        inputs = PatternInputs(cands, store, {}, [])
+        idx = rng.permutation(60)[:45]
+        sets = inputs.match_sets(idx)
+        masks = sets.fmask.astype(bool)
         r, s = store.rules["r"], store.rules["s"]
-        for p, row in zip(pats, masks):
+        decoded = inputs.decode(idx)
+        for p, row in zip(decoded, masks):
             want = (
                 [_comparison_mask(r, p), np.zeros(len(s), dtype=bool)]
                 if p.rule_id == "r"
                 else [np.zeros(len(r), dtype=bool), _comparison_mask(s, p)]
             )
             assert row.tolist() == np.concatenate(want).tolist()
+        assert sets.w.tolist() == [0.25 / 70] * 70 + [0.75 / 13] * 13
+        assert sets.info.tolist() == [p.info() for p in decoded]
+        assert masks[:, :70].any() and masks[:, 70:].any()
+        py_rng = random.Random(5)
+        for _ in range(60):
+            rule, names = py_rng.choice([("r", ("A", "B", "C")), ("s", ("A", "B"))])
+            args = tuple(
+                None if py_rng.random() < 0.4 else py_rng.randrange(5) for _ in names
+            )
+            goals = (py_rng.random() < 0.7, py_rng.random() < 0.5)
+            p = Pattern(rule, names, args, goals)
             own = _comparison_mask(store.rules[p.rule_id], p)
             assert store._mask(p).tolist() == own.tolist()
-        assert w.tolist() == [0.25 / 70] * 70 + [0.75 / 13] * 13
-        assert masks[:, :70].any() and masks[:, 70:].any()
 
     def test_constant_missing_from_sample_gives_empty_mask(self):
         store = SampleStore()

@@ -13,7 +13,8 @@ from repro.datasets.movies import movies, r4_program
 from repro.core.ast import parse_program
 from repro.engine.catalog import Catalog
 from repro.provenance.why import sample_why
-from repro.summarize.topk import rank_key
+from repro.summarize.metrics import _RuleRows
+from repro.summarize.topk import rank_key, rank_order
 from repro.summarize.pipeline import (
     MAX_PATTERNS,
     pattern_inputs,
@@ -181,17 +182,28 @@ class TestWhyCount:
 
 
 class TestMultiRule:
-    def test_r4_union_whynot(self, spark):
+    def test_r4_union_whynot(self, spark, monkeypatch):
         db = movies(spark, n_movies=150, seed=0)
         catalog = Catalog(spark, db)
         prog = r4_program()
+        built, encoded = [], []
+        bits, encode = _RuleRows.bits, _RuleRows.encode_pattern
+        monkeypatch.setattr(_RuleRows, "bits", lambda r: built.append(r) or bits(r))
+        monkeypatch.setattr(
+            _RuleRows, "encode_pattern", lambda r, p: encoded.append(p) or encode(r, p)
+        )
         s = summarize_whynot(
             catalog, prog, parse_ptuple("Players('tom ford')"), k=3, n_s=60,
             seed=0, max_n_os=100_000,
         )
+        # each rule's row bitsets are built once, in phase 3, and no
+        # pattern is re-encoded for the search or for cp(S)
+        assert len(built) == len(set(map(id, built))) == 3 and not encoded
         assert len(s.per_rule) == 3  # one sample per union branch
         assert abs(sum(r["weight"] for r in s.per_rule) - 1.0) < 1e-9
         assert s.patterns
+        # cp(S) from the chosen candidates' match sets equals the Pattern path's
+        assert s.completeness == s.store.cp_of_set(s.patterns)
 
     def test_r4_union_why(self, spark):
         db = movies(spark, n_movies=150, seed=0)
@@ -205,6 +217,23 @@ class TestMultiRule:
         assert len(s.per_rule) == 3
 
 
+class TestArguments:
+    @pytest.mark.parametrize(
+        "qtype, kwargs, name",
+        [
+            (WHY, {"k": 0}, "k"),
+            (WHYNOT, {"k": -1}, "k"),
+            (WHY, {"n_s": 0}, "n_s"),
+            (WHYNOT, {"n_s": 0}, "n_s"),
+        ],
+    )
+    def test_k_and_n_s_below_one_rejected(self, rex, qtype, kwargs, name):
+        catalog, prog = rex
+        q = PQuestion(parse_ptuple("Qex(X, 4)"), qtype)
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+            summarize(catalog, prog, q, **kwargs)
+
+
 class TestPatternInputs:
     def test_inputs_then_topk(self, airbnb):
         catalog, prog = airbnb
@@ -212,7 +241,7 @@ class TestPatternInputs:
         inputs = pattern_inputs(catalog, prog, q, n_s=100, seed=6)
         assert inputs.patterns and inputs.n_candidates >= len(inputs.patterns)
         r = select_topk(inputs, 3)
-        assert len(r.patterns) == 3
+        assert len(set(r.chosen)) == 3
 
     def test_estimates_close_to_store(self, airbnb):
         # pattern cp estimates (Q_match counts) must equal the exact
@@ -224,10 +253,11 @@ class TestPatternInputs:
             assert inputs.store.cp_of_pattern(p) == pytest.approx(p.cp)
 
     @pytest.mark.parametrize("query", ["r4", "airbnb"])
-    def test_strongest_equals_nsmallest_by_rank_key(self, spark, airbnb, query):
-        """The numpy cap keeps exactly the candidates ``heapq.nsmallest``
-        keeps by ``rank_key``, in that order, ties between equal scores
-        and cps broken the same way."""
+    def test_rank_order_equals_sorted_by_rank_key(self, spark, airbnb, query):
+        """The coded ranking orders the candidates as ``rank_key`` orders
+        their patterns, so the cap keeps exactly the candidates
+        ``heapq.nsmallest`` keeps, in that order, ties between equal
+        scores and cps broken the same way."""
         if query == "r4":
             catalog = Catalog(spark, movies(spark, n_movies=150, seed=0))
             prog, t = r4_program(), "Players('tom ford')"
@@ -238,8 +268,9 @@ class TestPatternInputs:
         decoded = inputs.patterns
         assert len(decoded) == inputs.n_candidates > MAX_PATTERNS
         ranked = sorted(decoded, key=rank_key)
-        assert inputs.strongest(len(decoded)) == ranked
-        assert inputs.strongest(MAX_PATTERNS) == heapq.nsmallest(
+        order = rank_order(inputs.candidates)
+        assert inputs.decode(order) == ranked
+        assert inputs.decode(order[:MAX_PATTERNS]) == heapq.nsmallest(
             MAX_PATTERNS, decoded, key=rank_key
         )
         keys = [rank_key(p)[:2] for p in ranked]
