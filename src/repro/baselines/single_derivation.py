@@ -4,7 +4,7 @@ Single-derivation why-not approaches (e.g., the Y! system) return one
 failed derivation instead of summarizing all of them — fast but
 incomplete. We implement it on top of the same batch-sampling machinery
 with a target of a single derivation and a small over-sample that is
-doubled until a why-not derivation is found.
+quadrupled until a why-not derivation is found.
 """
 from __future__ import annotations
 
@@ -14,20 +14,22 @@ from repro.engine.catalog import Catalog
 from repro.patterns.pattern import Pattern
 from repro.sampling.whynot import sample_whynot_rule
 
+#: The first attempt's over-sample n_OS; each failed attempt quadruples it.
+INITIAL_N_OS = 64
+MAX_ATTEMPTS = 8
+
 
 def single_derivation(
     catalog: Catalog,
     program: Program,
     t: PTuple,
     seed: int = 0,
-    initial_n_os: int = 64,
-    max_attempts: int = 8,
 ) -> Pattern | None:
     """Return one failed derivation of a missing answer matching ``t``
     (as a fully-constant :class:`Pattern`), or ``None`` if none found."""
     for u in unify_program(program, t):
-        n_os = initial_n_os
-        for attempt in range(max_attempts):
+        n_os = INITIAL_N_OS
+        for attempt in range(MAX_ATTEMPTS):
             rs = sample_whynot_rule(
                 catalog,
                 program,

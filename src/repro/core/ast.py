@@ -178,11 +178,13 @@ def check_safe(rule: Rule) -> None:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+_IDENT = r"[A-Za-z_][A-Za-z0-9_\-]*"
+_IDENT_RE = re.compile(_IDENT)
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
+    rf"""\s*(?:
         (?P<string>'[^']*')
       | (?P<number>-?\d+\.\d+|-?\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_\-]*)
+      | (?P<ident>{_IDENT})
       | (?P<op><=|>=|!=|:-|<|>|=|\(|\)|,|\.|¬|not\b)
     )""",
     re.VERBOSE,
@@ -211,6 +213,8 @@ def _term(tok: str) -> Term:
         return Const(int(tok))
     if re.fullmatch(r"-?\d+\.\d+", tok):
         return Const(float(tok))
+    if not _IDENT_RE.fullmatch(tok):
+        raise ValueError(f"expected a term, got {tok!r}")
     if tok[0].isupper() or tok[0] == "_":
         return Var(tok)
     return Const(tok)  # bare lowercase identifier = string constant

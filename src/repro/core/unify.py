@@ -8,7 +8,6 @@ derivations of answers matching t.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from repro.core.ast import (
@@ -19,6 +18,8 @@ from repro.core.ast import (
     Rule,
     Term,
     Var,
+    _Parser,
+    _tokenize,
     vars_in_order,
 )
 
@@ -55,27 +56,14 @@ class PQuestion:
 
 
 def parse_ptuple(text: str) -> PTuple:
-    """Parse ``"AL(N, shared)"`` — uppercase = placeholder, else constant."""
-    m = re.fullmatch(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*", text)
-    if not m:
-        raise ValueError(f"cannot parse p-tuple {text!r}")
-    pred, argtext = m.group(1), m.group(2)
-    args: list[Term] = []
-    for raw in argtext.split(","):
-        tok = raw.strip()
-        if not tok:
-            raise ValueError(f"empty argument in p-tuple {text!r}")
-        if tok.startswith("'") and tok.endswith("'"):
-            args.append(Const(tok[1:-1]))
-        elif re.fullmatch(r"-?\d+", tok):
-            args.append(Const(int(tok)))
-        elif re.fullmatch(r"-?\d+\.\d+", tok):
-            args.append(Const(float(tok)))
-        elif tok[0].isupper() or tok[0] == "_":
-            args.append(Var(tok))
-        else:
-            args.append(Const(tok))
-    return PTuple(pred, tuple(args))
+    """Parse ``"AL(N, shared)"`` as the rule parser reads an atom:
+    uppercase = placeholder; quoted strings, numbers and bare lowercase
+    identifiers are constants."""
+    p = _Parser(_tokenize(text))
+    atom = p.atom()
+    if p.peek() is not None:
+        raise ValueError(f"unexpected {p.peek()!r} after p-tuple {text!r}")
+    return PTuple(atom.pred, atom.args)
 
 
 @dataclass(frozen=True)

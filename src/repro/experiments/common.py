@@ -1,28 +1,45 @@
-"""Shared helpers for experiment harnesses: bindings, sizes, printing."""
+"""Shared code of the experiment harnesses: opening a query's catalog and
+asking it a question, derivation-space sizes, and printing rows."""
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Iterator
+from contextlib import contextmanager
 
-from repro.core.ast import Const, Program
-from repro.core.unify import PTuple, unify_program
-from repro.engine.catalog import Catalog, canonical_sort
+from pyspark.sql import SparkSession
+
+from repro.core.ast import Program
+from repro.core.unify import PQuestion, PTuple, unify_program
+from repro.engine.catalog import Catalog
+from repro.experiments.queries import QUERIES
 from repro.provenance.whynot_full import count_all_derivations
+from repro.summarize.pipeline import Summary, summarize
+
+#: The seed of every table: each database's generator seed and each
+#: question's sampling seed.
+SEED = 0
 
 
-def bind_first_answer(
-    catalog: Catalog, program: Program, template: PTuple, positions: Sequence[int]
-) -> PTuple:
-    """Fill ``positions`` of a p-tuple template with the corresponding
-    head values of the canonically smallest existing answer (for Why
-    questions). The answers are the catalog's driver-side copy of Q(D),
-    so the choice does not depend on how Spark partitions them."""
-    answers = canonical_sort(catalog.answers(program).matching({}))
-    if not answers:
-        raise ValueError("query has no answers to bind a why question to")
-    args = list(template.args)
-    for i in positions:
-        args[i] = Const(answers[0][i])
-    return PTuple(template.pred, tuple(args))
+@contextmanager
+def open_question(
+    spark: SparkSession, query: str, n: int, qtype: str
+) -> Iterator[tuple[Catalog, Program, PQuestion]]:
+    """A catalog over ``QUERIES[query]``'s database at ``n`` rows, the
+    query's program and its ``qtype`` question; the catalog is closed
+    (its persisted relations and temp views dropped) on exit."""
+    spec = QUERIES[query]
+    with Catalog(spark, spec.build_db(spark, n, SEED)) as catalog:
+        program = spec.program()
+        t = spec.ptuple(catalog, program, qtype)
+        yield catalog, program, PQuestion(t, qtype)
+
+
+def ask(
+    catalog: Catalog, program: Program, question: PQuestion, k: int, n_s: int,
+    **options,
+) -> Summary:
+    """The top-``k`` summary of ``question`` over an ``n_s`` sample, as
+    every table asks it: :func:`summarize` with the tables' seed."""
+    return summarize(catalog, program, question, k=k, n_s=n_s, seed=SEED, **options)
 
 
 def whynot_space(catalog: Catalog, program: Program, t: PTuple) -> float:

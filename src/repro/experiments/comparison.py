@@ -18,36 +18,38 @@ from repro.baselines.single_derivation import single_derivation
 from repro.core.unify import WHYNOT, PQuestion, parse_ptuple
 from repro.datasets.witness import crimedesc_program, witness_db
 from repro.engine.catalog import Catalog
+from repro.experiments.common import SEED, ask
 from repro.experiments.queries import QUERIES
-from repro.summarize.pipeline import summarize
 
 ARTEMIS_PTUPLE = (
     "CrimeDesc('trespassing', 'Aarongolden', 'MidnightBlue', 'lavender')"
 )
+#: 12a: PUG-Summ's sample is this share of the rows (at least 10), its
+#: summary a top-5
+ARTEMIS_SAMPLE_FRAC = 0.1
+ARTEMIS_K = 5
+#: 12b: PUG-Summ's summary is a top-3
+SINGLE_DERIVATION_K = 3
 
 
 def run_artemis_comparison(
     spark: SparkSession,
     sizes: list[int],
-    sample_frac: float = 0.1,
-    k: int = 5,
     artemis_budget: int = 500_000,
-    seed: int = 0,
 ) -> list[dict]:
     """Fig. 12a rows: per size, runtimes of PUG-Summ and Artemis plus the
     top pattern each returns (informativeness shows the quality gap)."""
     rows = []
     t = parse_ptuple(ARTEMIS_PTUPLE)
+    question = PQuestion(t, WHYNOT)
     program = crimedesc_program()
     for n in sizes:
-        db = witness_db(spark, n=n, seed=seed)
+        db = witness_db(spark, n=n, seed=SEED)
         with Catalog(spark, db) as catalog, Catalog(spark, db) as art_catalog:
-            n_s = max(10, int(n * sample_frac))
+            n_s = max(10, int(n * ARTEMIS_SAMPLE_FRAC))
             spark.catalog.clearCache()
             t0 = time.perf_counter()
-            s = summarize(
-                catalog, program, PQuestion(t, WHYNOT), k=k, n_s=n_s, seed=seed
-            )
+            s = ask(catalog, program, question, ARTEMIS_K, n_s)
             t_pug = time.perf_counter() - t0
             row = {
                 "n_rows": n,
@@ -77,37 +79,31 @@ def run_single_derivation_comparison(
     spark: SparkSession,
     sizes: list[int],
     n_s: int = 1000,
-    k: int = 3,
-    seed: int = 0,
 ) -> list[dict]:
     """Fig. 12b rows: per size, single-derivation vs top-3 summary time."""
     spec = QUERIES["r1"]
     program = spec.program()
+    t = parse_ptuple(spec.whynot)
+    question = PQuestion(t, WHYNOT)
     # one untimed question of each system first: the first why-not
     # question in a JVM runs slower, and neither size should pay for it
-    db = spec.build_db(spark, min(sizes), seed)
+    db = spec.build_db(spark, min(sizes), SEED)
     with Catalog(spark, db) as catalog, Catalog(spark, db) as summary_catalog:
-        t = spec.ptuple(catalog, program, WHYNOT)
-        single_derivation(catalog, program, t, seed=seed)
-        summarize(summary_catalog, program, PQuestion(t, WHYNOT), k=k, n_s=n_s,
-                  seed=seed)
+        single_derivation(catalog, program, t, seed=SEED)
+        ask(summary_catalog, program, question, SINGLE_DERIVATION_K, n_s)
     rows = []
     for n in sizes:
-        db = spec.build_db(spark, n, seed)
+        db = spec.build_db(spark, n, SEED)
         with Catalog(spark, db) as catalog, Catalog(spark, db) as summary_catalog:
-            t = spec.ptuple(catalog, program, WHYNOT)
             spark.catalog.clearCache()
             t0 = time.perf_counter()
-            d = single_derivation(catalog, program, t, seed=seed)
+            d = single_derivation(catalog, program, t, seed=SEED)
             t_single = time.perf_counter() - t0
             # a catalog of its own and an empty Spark cache: no reuse of the
             # single-derivation run's domains, Q(D) and goal projections
             spark.catalog.clearCache()
             t0 = time.perf_counter()
-            s = summarize(
-                summary_catalog, program, PQuestion(t, WHYNOT), k=k, n_s=n_s,
-                seed=seed,
-            )
+            s = ask(summary_catalog, program, question, SINGLE_DERIVATION_K, n_s)
             t_summ = time.perf_counter() - t0
             rows.append(
                 {

@@ -5,10 +5,7 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from repro.core.unify import PQuestion
-from repro.engine.catalog import Catalog
-from repro.experiments.queries import QUERIES
-from repro.summarize.pipeline import summarize
+from repro.experiments.common import ask, open_question
 
 
 def run_completeness(
@@ -18,18 +15,12 @@ def run_completeness(
     n: int,
     ks: list[int],
     n_s: int = 500,
-    seed: int = 0,
 ) -> list[dict]:
     rows = []
     for query in queries:
-        spec = QUERIES[query]
-        db = spec.build_db(spark, n, seed)
-        with Catalog(spark, db) as catalog:
-            program = spec.program()
-            t = spec.ptuple(catalog, program, qtype)
-            question = PQuestion(t, qtype)
+        with open_question(spark, query, n, qtype) as (catalog, program, question):
             for k in ks:
-                s = summarize(catalog, program, question, k=k, n_s=n_s, seed=seed)
+                s = ask(catalog, program, question, k, n_s)
                 rows.append(
                     {
                         "query": query,

@@ -13,12 +13,9 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from repro.core.unify import WHY, WHYNOT, PQuestion
-from repro.engine.catalog import Catalog
-from repro.experiments.common import whynot_space
-from repro.experiments.queries import QUERIES
+from repro.core.unify import WHY, WHYNOT
+from repro.experiments.common import ask, open_question, whynot_space
 from repro.provenance.why import why_size
-from repro.summarize.pipeline import summarize
 
 
 def run_perf_scaling(
@@ -30,17 +27,12 @@ def run_perf_scaling(
     k: int = 3,
     include_full: bool = False,
     full_budget: int = 200_000,
-    seed: int = 0,
 ) -> list[dict]:
     """One row per (dataset size, sample size [or FULL])."""
-    spec = QUERIES[query]
     rows: list[dict] = []
     for n in sizes:
-        db = spec.build_db(spark, n, seed)
-        with Catalog(spark, db) as catalog:
-            program = spec.program()
-            t = spec.ptuple(catalog, program, qtype)
-            question = PQuestion(t, qtype)
+        with open_question(spark, query, n, qtype) as (catalog, program, question):
+            t = question.ptuple
             # why: filled in per row from the summary's exact count
             prov_size = (
                 whynot_space(catalog, program, t) if qtype == WHYNOT else None
@@ -67,15 +59,13 @@ def run_perf_scaling(
                             row["prov_size"] = n_prov
                             if n_prov > max(1, int(full_budget ** 0.5) * 8):
                                 raise ValueError("FULL why over budget")
-                        s = summarize(
-                            catalog, program, question, k=k, n_s=1 << 30,
-                            seed=seed, use_full=(qtype == WHYNOT),
+                        s = ask(
+                            catalog, program, question, k, 1 << 30,
+                            use_full=(qtype == WHYNOT),
                             max_full_derivations=full_budget,
                         )
                     else:
-                        s = summarize(
-                            catalog, program, question, k=k, n_s=ns, seed=seed
-                        )
+                        s = ask(catalog, program, question, k, ns)
                 except ValueError:
                     # FULL enumeration over budget — the paper's timed-out bar
                     row.update(

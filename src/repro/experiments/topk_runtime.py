@@ -10,9 +10,7 @@ import time
 
 from pyspark.sql import SparkSession
 
-from repro.core.unify import PQuestion
-from repro.engine.catalog import Catalog
-from repro.experiments.queries import QUERIES
+from repro.experiments.common import SEED, open_question
 from repro.summarize.pipeline import MAX_PATTERNS, pattern_inputs, select_topk
 
 
@@ -23,17 +21,10 @@ def run_topk_runtime(
     n: int,
     n_s: int,
     ks: list[int],
-    seed: int = 0,
 ) -> list[dict]:
     """One row per k; pattern inputs are computed once and reused."""
-    spec = QUERIES[query]
-    db = spec.build_db(spark, n, seed)
-    catalog = Catalog(spark, db)
-    program = spec.program()
-    t = spec.ptuple(catalog, program, qtype)
-    inputs = pattern_inputs(
-        catalog, program, PQuestion(t, qtype), n_s=n_s, seed=seed
-    )
+    with open_question(spark, query, n, qtype) as (catalog, program, question):
+        inputs = pattern_inputs(catalog, program, question, n_s=n_s, seed=SEED)
     rows = []
     for k in ks:
         t0 = time.perf_counter()

@@ -13,6 +13,4 @@ from repro.summarize.pipeline import (  # noqa: F401
     pattern_inputs,
     select_topk,
     summarize,
-    summarize_why,
-    summarize_whynot,
 )

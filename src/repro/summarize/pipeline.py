@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.ast import Program
-from repro.core.unify import WHY, WHYNOT, PQuestion, UnifiedRule
+from repro.core.unify import WHY, PQuestion, UnifiedRule
 from repro.engine.catalog import Catalog
 from repro.patterns.lca import lca_codes
 from repro.patterns.matching import Candidates, count_matches, unpack
@@ -328,16 +328,3 @@ def summarize(
         store=store,
     )
 
-
-def summarize_why(
-    catalog: Catalog, program: Program, ptuple, **kwargs
-) -> Summary:
-    """Top-k summary of Why(Q, D, t)."""
-    return summarize(catalog, program, PQuestion(ptuple, WHY), **kwargs)
-
-
-def summarize_whynot(
-    catalog: Catalog, program: Program, ptuple, **kwargs
-) -> Summary:
-    """Top-k summary of Whynot(Q, D, t)."""
-    return summarize(catalog, program, PQuestion(ptuple, WHYNOT), **kwargs)

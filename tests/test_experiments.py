@@ -64,7 +64,24 @@ class TestRegistry:
         assert bound[0] == bound[1]
 
 
-class TestPerfScaling:
+class _ClosesItsCatalogs:
+    """Each test leaves no persisted RDD and no temp view behind: every
+    catalog a harness opens is closed. The ids and names, not only their
+    counts, are compared, because T12 clears the whole Spark cache."""
+
+    @pytest.fixture(autouse=True)
+    def _no_leaks(self, spark):
+        def left():
+            rdds = set(spark.sparkContext._jsc.getPersistentRDDs().keySet())
+            return rdds, {t.name for t in spark.catalog.listTables()}
+
+        rdds, views = left()
+        yield
+        new_rdds, new_views = left()
+        assert new_rdds <= rdds and new_views <= views
+
+
+class TestPerfScaling(_ClosesItsCatalogs):
     def test_whynot_rows(self, spark):
         rows = run_perf_scaling(
             spark, "r1", WHYNOT, sizes=[300], sample_sizes=[30], k=2
@@ -91,11 +108,11 @@ class TestPerfScaling:
             include_full=True,
         )
         spec = QUERIES["r1"]
-        catalog = Catalog(spark, spec.build_db(spark, 300, 0))
         program = spec.program()
-        t = spec.ptuple(catalog, program, WHY)
-        (u,) = unify_program(program, t)
-        n_why = successful_derivations(catalog, u.rule).count()
+        with Catalog(spark, spec.build_db(spark, 300, 0)) as catalog:
+            t = spec.ptuple(catalog, program, WHY)
+            (u,) = unify_program(program, t)
+            n_why = successful_derivations(catalog, u.rule).count()
         assert n_why > 3
         assert [r["prov_size"] for r in rows] == [n_why] * 3
         assert rows[2]["sample"] == "FULL" and rows[2]["t_total"] is not None
@@ -108,7 +125,7 @@ class TestPerfScaling:
         assert rows[0]["t_total"] is None  # FULL over budget → timeout row
 
 
-class TestTopkRuntime:
+class TestTopkRuntime(_ClosesItsCatalogs):
     def test_rows(self, spark):
         rows = run_topk_runtime(
             spark, "r1", WHYNOT, n=300, n_s=50, ks=[1, 3]
@@ -118,7 +135,7 @@ class TestTopkRuntime:
         assert rows[0]["n_patterns"] == rows[1]["n_patterns"]
 
 
-class TestQueryComplexity:
+class TestQueryComplexity(_ClosesItsCatalogs):
     def test_chain_joins(self, spark):
         rows = run_join_scaling(
             spark, "chain", [2, 3], n_rows=150, n_s=20, k=2
@@ -143,7 +160,7 @@ class TestQueryComplexity:
         assert rows[0]["prov_size"] > rows[1]["prov_size"]
 
 
-class TestQualityError:
+class TestQualityError(_ClosesItsCatalogs):
     def test_why_error_rows(self, spark):
         rows = run_quality_error(
             spark, "r1", WHY, 300, sample_sizes=[30], ks=[2]
@@ -160,7 +177,7 @@ class TestQualityError:
         assert rows and rows[0]["cp_ref"] >= 0
 
 
-class TestCompleteness:
+class TestCompleteness(_ClosesItsCatalogs):
     def test_rows(self, spark):
         rows = run_completeness(
             spark, ["r1"], WHYNOT, 300, ks=[1, 3], n_s=50
@@ -169,7 +186,7 @@ class TestCompleteness:
         assert rows[1]["completeness"] >= rows[0]["completeness"] - 1e-9
 
 
-class TestComparison:
+class TestComparison(_ClosesItsCatalogs):
     def test_artemis(self, spark):
         rows = run_artemis_comparison(
             spark, sizes=[120], artemis_budget=500_000
@@ -242,6 +259,23 @@ class TestCommandLine:
             "T11 completeness (why)", "T11 completeness (whynot)",
         ]
         assert "completeness" in out.splitlines()[2]
+
+    def test_t9_t10_t12(self, spark, capsys):
+        run(spark, ["t9", "--rows", "150", "--n-s", "20"])
+        run(spark, ["t10", "--size", "300", "--samples", "30", "--ks", "2"])
+        run(spark, ["t12", "--artemis-sizes", "120", "--single-sizes", "300"])
+        assert _headers(capsys.readouterr().out) == [
+            "T9 chain: varying #joins",
+            "T9 star: varying #joins",
+            "T9 chain: 6 joins, varying #bound vars",
+            "T9 star: 5 joins, varying #bound vars",
+            "T9 DBLP hops",
+            "T9 TPC-H r10 bound vars",
+            "T10 r1 why (reference: FULL provenance)",
+            "T10 r6 why-not (reference: largest sample)",
+            "T12a PUG-Summ vs Artemis (CrimeDesc)",
+            "T12b PUG-Summ vs single-derivation (r1)",
+        ]
 
     def test_session_driver_memory(self, monkeypatch):
         # the settings only: asserting on them starts no second JVM

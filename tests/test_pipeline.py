@@ -20,8 +20,6 @@ from repro.summarize.pipeline import (
     pattern_inputs,
     select_topk,
     summarize,
-    summarize_why,
-    summarize_whynot,
 )
 
 
@@ -57,8 +55,9 @@ class TestWhynotPipeline:
 
     def test_airbnb_sampled(self, airbnb):
         catalog, prog = airbnb
-        s = summarize_whynot(
-            catalog, prog, parse_ptuple("AL(N, shared)"), k=3, n_s=200, seed=1
+        s = summarize(
+            catalog, prog, PQuestion(parse_ptuple("AL(N, shared)"), WHYNOT),
+            k=3, n_s=200, seed=1,
         )
         assert len(s.patterns) == 3
         assert 0 < s.completeness <= 1
@@ -67,16 +66,18 @@ class TestWhynotPipeline:
 
     def test_timings_present(self, airbnb):
         catalog, prog = airbnb
-        s = summarize_whynot(
-            catalog, prog, parse_ptuple("AL(N, shared)"), k=2, n_s=50, seed=2
+        s = summarize(
+            catalog, prog, PQuestion(parse_ptuple("AL(N, shared)"), WHYNOT),
+            k=2, n_s=50, seed=2,
         )
         for key in ("sample", "pattern_gen", "metrics", "topk", "total"):
             assert s.timings[key] >= 0
 
     def test_rex_full_equals_known(self, rex):
         catalog, prog = rex
-        s = summarize_whynot(
-            catalog, prog, parse_ptuple("Qex(X, 4)"), k=2, use_full=True
+        s = summarize(
+            catalog, prog, PQuestion(parse_ptuple("Qex(X, 4)"), WHYNOT),
+            k=2, use_full=True,
         )
         # the dominant group (F,F) has 8/12 of the provenance; the top-2
         # summary must cover well over half of it
@@ -84,16 +85,17 @@ class TestWhynotPipeline:
 
     def test_existing_answer_empty_summary(self, rex):
         catalog, prog = rex
-        s = summarize_whynot(
-            catalog, prog, parse_ptuple("Qex(1, 4)"), use_full=True
+        s = summarize(
+            catalog, prog, PQuestion(parse_ptuple("Qex(1, 4)"), WHYNOT), use_full=True
         )
         assert s.patterns == ()
         assert s.completeness == 0.0
 
     def test_k1_is_single_pattern(self, airbnb):
         catalog, prog = airbnb
-        s = summarize_whynot(
-            catalog, prog, parse_ptuple("AL(N, shared)"), k=1, n_s=100, seed=3
+        s = summarize(
+            catalog, prog, PQuestion(parse_ptuple("AL(N, shared)"), WHYNOT),
+            k=1, n_s=100, seed=3,
         )
         assert len(s.patterns) == 1
 
@@ -101,8 +103,9 @@ class TestWhynotPipeline:
         catalog, prog = airbnb
         cps = []
         for k in (1, 3, 5):
-            s = summarize_whynot(
-                catalog, prog, parse_ptuple("AL(N, shared)"), k=k, n_s=200,
+            s = summarize(
+                catalog, prog, PQuestion(parse_ptuple("AL(N, shared)"), WHYNOT),
+                k=k, n_s=200,
                 seed=4,
             )
             cps.append(s.completeness)
@@ -110,8 +113,9 @@ class TestWhynotPipeline:
 
     def test_pretty_output(self, airbnb):
         catalog, prog = airbnb
-        s = summarize_whynot(
-            catalog, prog, parse_ptuple("AL(N, shared)"), k=2, n_s=50, seed=5
+        s = summarize(
+            catalog, prog, PQuestion(parse_ptuple("AL(N, shared)"), WHYNOT),
+            k=2, n_s=50, seed=5,
         )
         text = s.pretty()
         assert "top-2 summary" in text and "r1(" in text
@@ -120,7 +124,7 @@ class TestWhynotPipeline:
 class TestWhyPipeline:
     def test_rex_why(self, rex):
         catalog, prog = rex
-        s = summarize_why(catalog, prog, parse_ptuple("Qex(X, Y)"), k=2)
+        s = summarize(catalog, prog, PQuestion(parse_ptuple("Qex(X, Y)"), WHY), k=2)
         assert s.patterns
         # why derivations have all goals T
         assert all(all(g for g in p.goals) for p in s.patterns)
@@ -129,7 +133,9 @@ class TestWhyPipeline:
         db = license_db(spark, n=500, seed=0)
         catalog = Catalog(spark, db)
         prog = r1_program()
-        s = summarize_why(catalog, prog, parse_ptuple("InvalidD(C)"), k=3, n_s=200)
+        s = summarize(
+            catalog, prog, PQuestion(parse_ptuple("InvalidD(C)"), WHY), k=3, n_s=200
+        )
         assert s.patterns
         assert s.completeness > 0
 
@@ -137,8 +143,8 @@ class TestWhyPipeline:
         db = license_db(spark, n=500, seed=0)
         catalog = Catalog(spark, db)
         prog = r1_program()
-        s = summarize_why(
-            catalog, prog, parse_ptuple("InvalidD(C)"), k=2, n_s=20
+        s = summarize(
+            catalog, prog, PQuestion(parse_ptuple("InvalidD(C)"), WHY), k=2, n_s=20
         )
         assert s.per_rule[0]["n_sample"] <= 20
 
@@ -166,7 +172,7 @@ class TestWhyCount:
         catalog, prog = license_1k
         t = parse_ptuple(ptuple)
         ((_, rows, _),) = sample_why(catalog, prog, t, 1 << 30, 0)
-        s = summarize_why(catalog, prog, t, k=3, n_s=n_s, seed=0)
+        s = summarize(catalog, prog, PQuestion(t, WHY), k=3, n_s=n_s, seed=0)
         (stats,) = s.per_rule
         assert stats["n_survivors"] == len(rows)
         assert stats["n_sample"] == min(n_s, len(rows))
@@ -176,7 +182,9 @@ class TestWhyCount:
         # there are at most n_S = 5 rows and drops the limit
         tables = {"R": spark.createDataFrame(pd.DataFrame({"a": range(5), "b": range(5)}))}
         prog = parse_program("Q(X, Y) :- R(X, Y).")
-        s = summarize_why(Catalog(spark, tables), prog, parse_ptuple("Q(X, Y)"), n_s=5)
+        s = summarize(
+            Catalog(spark, tables), prog, PQuestion(parse_ptuple("Q(X, Y)"), WHY), n_s=5
+        )
         (stats,) = s.per_rule
         assert stats["n_survivors"] == stats["n_sample"] == 5
 
@@ -192,8 +200,9 @@ class TestMultiRule:
         monkeypatch.setattr(
             _RuleRows, "encode_pattern", lambda r, p: encoded.append(p) or encode(r, p)
         )
-        s = summarize_whynot(
-            catalog, prog, parse_ptuple("Players('tom ford')"), k=3, n_s=60,
+        s = summarize(
+            catalog, prog, PQuestion(parse_ptuple("Players('tom ford')"), WHYNOT),
+            k=3, n_s=60,
             seed=0, max_n_os=100_000,
         )
         # each rule's row bitsets are built once, in phase 3, and no
@@ -209,8 +218,9 @@ class TestMultiRule:
         db = movies(spark, n_movies=150, seed=0)
         catalog = Catalog(spark, db)
         prog = r4_program()
-        s = summarize_why(
-            catalog, prog, parse_ptuple("Players('jack black')"), k=3, n_s=100
+        s = summarize(
+            catalog, prog, PQuestion(parse_ptuple("Players('jack black')"), WHY),
+            k=3, n_s=100,
         )
         # the anchor movie guarantees jack black in all three branches
         assert s.patterns

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.ast import parse_program
 from repro.core.unify import (
+    WHY,
     WHYNOT,
     PQuestion,
     parse_ptuple,
@@ -23,7 +24,7 @@ from repro.provenance.annotate import annotate_select
 from repro.engine.statement import quote
 from repro.provenance.annotate import goal_column_names
 from repro.provenance.why import sample_why, why_count, why_select, why_size
-from repro.summarize.pipeline import summarize_why
+from repro.summarize.pipeline import summarize
 from repro.provenance.whynot_full import (
     all_valuations,
     count_all_derivations,
@@ -286,10 +287,11 @@ class TestWhySeed:
         t = parse_ptuple("InvalidD(C)")
         metrics = spark._jvm.org.apache.spark.metrics.source.CodegenMetrics
         compiled = metrics.METRIC_COMPILATION_TIME()
-        summarize_why(catalog, prog, t, k=2, n_s=40, seed=918_273)  # warm
+        q = PQuestion(t, WHY)
+        summarize(catalog, prog, q, k=2, n_s=40, seed=918_273)  # warm
         before = compiled.getCount()
         for seed in range(10):
-            summarize_why(catalog, prog, t, k=2, n_s=40, seed=918_274 + seed)
+            summarize(catalog, prog, q, k=2, n_s=40, seed=918_274 + seed)
         assert compiled.getCount() == before
 
 

@@ -24,6 +24,12 @@ class TestPTuple:
         t = parse_ptuple("Q('queen anne', X)")
         assert t.args[0] == Const("queen anne")
 
+    def test_parse_quoted_comma(self):
+        # read as parse_rule reads the same atom: the comma is in the string
+        t = parse_ptuple("Q('a, b', X)")
+        assert t.args == (Const("a, b"), Var("X"))
+        assert t.args == parse_rule("Q('a, b', X) :- R(X).").head.args
+
     def test_parse_numbers(self):
         t = parse_ptuple("Q(4, -1, 2.5)")
         assert t.args == (Const(4), Const(-1), Const(2.5))
@@ -34,8 +40,9 @@ class TestPTuple:
         assert parse_ptuple("AL(a, b)").n_constants() == 2
 
     def test_bad_text_raises(self):
-        with pytest.raises(ValueError):
-            parse_ptuple("no parens")
+        for text in ("no parens", "Q(,)", "Q()", "Q(X", "Q(X)(Y)", "Q(X) extra"):
+            with pytest.raises(ValueError):
+                parse_ptuple(text)
 
     def test_question_types(self):
         t = parse_ptuple("Q(X)")
